@@ -210,18 +210,14 @@ def build_static_dan(trace: Trace, params: NetParams) -> StaticDan:
                 occupants[v] = helpers[edge_key(w, v)]
         dist = normalized(weights)
         tree = build_static(w, dist, occupants)
-        tree.take_edge_changes()
         trees[w] = tree
         depths[w] = {k: tree.depth(k) for k in tree.keys_inorder()}
 
     dan = StaticDan(params=params, large=large, direct=direct, trees=trees, depths=depths, helpers=helpers)
     degree: Counter = Counter()
     for (a, b), cnt in dan._edges().items():
-        if a == b:
-            degree[a] += 2 * cnt
-        else:
-            degree[a] += cnt
-            degree[b] += cnt
+        degree[a] += cnt  # a self-loop counts twice
+        degree[b] += cnt
     over = {x: d for x, d in degree.items() if d > params.delta_cap}
     if over:
         raise StaticBuildError(f"static build violates the degree cap at {sorted(over)[:8]}")

@@ -131,14 +131,17 @@ def build_trace(cfg: ExperimentConfig, seed: int) -> Trace:
 
 
 def make_params(cfg: ExperimentConfig, n: int) -> NetParams:
-    return NetParams.make(
-        n=n,
-        c=cfg.c,
-        D=cfg.D or None,
-        rotation_accounting=cfg.rotation_accounting,
-        virtual_root_capacity=None if cfg.virtual_roots < 0 else cfg.virtual_roots,
-        vr_policy=cfg.vr_policy,
-    )
+    try:
+        return NetParams.make(
+            n=n,
+            c=cfg.c,
+            D=cfg.D or None,
+            rotation_accounting=cfg.rotation_accounting,
+            virtual_root_capacity=None if cfg.virtual_roots < 0 else cfg.virtual_roots,
+            vr_policy=cfg.vr_policy,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def run_cell(cfg: ExperimentConfig, trace: Trace, params: NetParams, outdir: Path) -> dict:

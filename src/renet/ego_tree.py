@@ -1,4 +1,4 @@
-"""Self-adjusting binary search tree网 carried by one node.
+"""Self-adjusting binary search tree carried by one node.
 
 Each large node owns one of these trees over its working set.  Entries are
 keyed by partner id; the occupant is the physical node sitting at that
@@ -6,14 +6,16 @@ position (the partner itself, or a helper relaying for a large partner).
 The owner is linked to the current root and to a bounded LRU set of
 "virtual roots" that stay at distance one even after later splays.
 
-Every mutation reports a TreeCost and appends the exact physical edge set
-changes (in occupant space) to an internal log that callers drain with
-`take_edge_changes`, so a network can maintain its global edge multiset and
-tests can reconcile accounting against live structure.
+Every mutation reports a TreeCost and writes each physical link change (in
+occupant space) straight into an edge store: edge multiplicities plus node
+degrees.  A tree in a network shares the network's store; a standalone tree
+keeps its own.  Nodes pushed above the degree cap are handed out by
+`take_edge_changes` once the operation has finished.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
@@ -29,6 +31,24 @@ _ROTATION_LINK_COST = {UNIT: 1, RAW: 6}
 
 def edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
+
+
+def link(edges: dict, degree, a: int, b: int) -> None:
+    """Add one a-b link to an edge store: the multiset and both degrees."""
+    k = (a, b) if a <= b else (b, a)
+    edges[k] = edges.get(k, 0) + 1
+    degree[a] += 1
+    degree[b] += 1
+
+
+def unlink(edges: dict, degree, a: int, b: int) -> None:
+    """Remove one a-b link from an edge store; KeyError if it holds none."""
+    k = (a, b) if a <= b else (b, a)
+    left = edges.pop(k) - 1
+    if left:
+        edges[k] = left
+    degree[a] -= 1
+    degree[b] -= 1
 
 
 @dataclass
@@ -78,7 +98,9 @@ class EgoTree:
         vr_policy: str = "lru",
         vr_admit: Optional[Callable[[int], bool]] = None,
         static: bool = False,
-        log_edges: bool = True,
+        edge_counts: Optional[dict] = None,
+        degree=None,
+        degree_cap: int = sys.maxsize,
     ):
         if rotation_accounting not in _ROTATION_LINK_COST:
             raise ValueError(f"rotation_accounting must be one of {sorted(_ROTATION_LINK_COST)}")
@@ -95,28 +117,32 @@ class EgoTree:
         self.vr: "OrderedDict[int, None]" = OrderedDict()  # oldest first
         self._by_key: dict[int, _Entry] = {}
         self._rot_lc = _ROTATION_LINK_COST[rotation_accounting]
-        self._log_edges = log_edges
-        self._edge_log: list[tuple[int, tuple[int, int]]] = []
+        # the edge store; degree is a list by node id in a network, else a Counter
+        self.edge_counts: dict[tuple[int, int], int] = {} if edge_counts is None else edge_counts
+        self.degree = Counter() if degree is None else degree
+        self._cap = degree_cap
+        self._over: list[int] = []
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _ad(self, a: int, b: int) -> None:
-        if self._log_edges:
-            self._edge_log.append((1, edge_key(a, b)))
+    def _link(self, a: int, b: int) -> None:
+        link(self.edge_counts, self.degree, a, b)
+        for x in (a, b):
+            if self.degree[x] > self._cap:
+                self._over.append(x)
 
-    def _rm(self, a: int, b: int) -> None:
-        if self._log_edges:
-            self._edge_log.append((-1, edge_key(a, b)))
+    def _unlink(self, a: int, b: int) -> None:
+        unlink(self.edge_counts, self.degree, a, b)
 
-    def take_edge_changes(self) -> list[tuple[int, tuple[int, int]]]:
-        """Drain the chronological (+1/-1, edge) log since the last call.
+    def take_edge_changes(self) -> list[int]:
+        """Nodes that link changes pushed above the degree cap since the last call.
 
-        Consecutive rotations may remove an edge added moments earlier, so
-        order matters when replaying into an edge multiset.
+        The changes themselves are already in the edge store.  A node may be
+        listed twice, or be back under the cap by the time it is read.
         """
-        log = self._edge_log
-        self._edge_log = []
-        return log
+        over = self._over
+        self._over = []
+        return over
 
     # -- introspection ------------------------------------------------------
 
@@ -129,10 +155,6 @@ class EgoTree:
 
     def occupant_of(self, key: int) -> int:
         return self._by_key[key].occupant
-
-    def parent_key_of(self, key: int) -> Optional[int]:
-        p = self._by_key[key].parent
-        return None if p is None else p.key
 
     def depth(self, key: int) -> int:
         e = self._by_key[key]
@@ -236,13 +258,21 @@ class EgoTree:
     # -- splay machinery ----------------------------------------------------
 
     def _rotate_up(self, x: _Entry) -> None:
+        # Writes the store inline: this runs for every rotation of every splay.
         p = x.parent
         g = p.parent
         above = g.occupant if g is not None else self.owner
+        po = p.occupant
+        xo = x.occupant
+        edges = self.edge_counts
         # the p-x edge flips orientation but persists; only the links to the
         # node above and to x's inner child actually change
-        self._rm(above, p.occupant)
-        self._ad(above, x.occupant)
+        k = (above, po) if above <= po else (po, above)
+        left = edges.pop(k) - 1
+        if left:
+            edges[k] = left
+        k = (above, xo) if above <= xo else (xo, above)
+        edges[k] = edges.get(k, 0) + 1
         if x is p.left:
             b = x.right
             p.left = b
@@ -253,8 +283,20 @@ class EgoTree:
             x.left = p
         if b is not None:
             b.parent = p
-            self._rm(x.occupant, b.occupant)
-            self._ad(p.occupant, b.occupant)
+            bo = b.occupant
+            k = (xo, bo) if xo <= bo else (bo, xo)
+            left = edges.pop(k) - 1
+            if left:
+                edges[k] = left
+            k = (po, bo) if po <= bo else (bo, po)
+            edges[k] = edges.get(k, 0) + 1
+            # x trades b for the node above and p the reverse: no degree moves
+        else:
+            degree = self.degree
+            degree[po] -= 1
+            degree[xo] += 1
+            if degree[xo] > self._cap:
+                self._over.append(xo)
         x.parent = g
         p.parent = x
         if g is None:
@@ -290,7 +332,7 @@ class EgoTree:
         e = _Entry(key, occupant)
         if self.root is None:
             self.root = e
-            self._ad(self.owner, occupant)
+            self._link(self.owner, occupant)
         else:
             cur = self.root
             while True:
@@ -303,7 +345,7 @@ class EgoTree:
             else:
                 cur.right = e
             e.parent = cur
-            self._ad(cur.occupant, occupant)
+            self._link(cur.occupant, occupant)
         self._by_key[key] = e
         return e
 
@@ -378,13 +420,13 @@ class EgoTree:
                 if len(self.vr) >= self.vr_capacity:
                     lc += self._drop_virtual_root(next(iter(self.vr)))
                 self.vr[key] = None
-                self._ad(self.owner, e.occupant)
+                self._link(self.owner, e.occupant)
                 lc += 1
         return TreeCost(0, lc, rotations)
 
     def _drop_virtual_root(self, key: int) -> int:
         del self.vr[key]
-        self._rm(self.owner, self._by_key[key].occupant)
+        self._unlink(self.owner, self._by_key[key].occupant)
         return 1
 
     def evict_virtual_root(self, key: int) -> int:
@@ -403,14 +445,14 @@ class EgoTree:
         if key in self.vr:
             lc += self._drop_virtual_root(key)
         left, right = e.left, e.right
-        self._rm(self.owner, e.occupant)
+        self._unlink(self.owner, e.occupant)
         lc += 1
         if left is not None:
-            self._rm(e.occupant, left.occupant)
+            self._unlink(e.occupant, left.occupant)
             left.parent = None
             lc += 1
         if right is not None:
-            self._rm(e.occupant, right.occupant)
+            self._unlink(e.occupant, right.occupant)
             right.parent = None
             lc += 1
         del self._by_key[key]
@@ -418,15 +460,15 @@ class EgoTree:
             self.root = None
         elif left is None:
             self.root = right
-            self._ad(self.owner, right.occupant)
+            self._link(self.owner, right.occupant)
             lc += 1
         elif right is None:
             self.root = left
-            self._ad(self.owner, left.occupant)
+            self._link(self.owner, left.occupant)
             lc += 1
         else:
             self.root = left
-            self._ad(self.owner, left.occupant)
+            self._link(self.owner, left.occupant)
             lc += 1
             mx = left
             while mx.right is not None:
@@ -436,7 +478,7 @@ class EgoTree:
             lc += extra * self._rot_lc
             mx.right = right
             right.parent = mx
-            self._ad(mx.occupant, right.occupant)
+            self._link(mx.occupant, right.occupant)
             lc += 1
         return TreeCost(0, lc, rotations)
 
@@ -450,20 +492,20 @@ class EgoTree:
             return TreeCost(0, 0, 0)
         lc = 0
         if e.parent is None:
-            self._rm(self.owner, old)
-            self._ad(self.owner, new_occupant)
+            self._unlink(self.owner, old)
+            self._link(self.owner, new_occupant)
         else:
-            self._rm(e.parent.occupant, old)
-            self._ad(e.parent.occupant, new_occupant)
+            self._unlink(e.parent.occupant, old)
+            self._link(e.parent.occupant, new_occupant)
         lc += 1
         for ch in (e.left, e.right):
             if ch is not None:
-                self._rm(old, ch.occupant)
-                self._ad(new_occupant, ch.occupant)
+                self._unlink(old, ch.occupant)
+                self._link(new_occupant, ch.occupant)
                 lc += 1
         if key in self.vr:
-            self._rm(self.owner, old)
-            self._ad(self.owner, new_occupant)
+            self._unlink(self.owner, old)
+            self._link(self.owner, new_occupant)
             lc += 1
         e.occupant = new_occupant
         return TreeCost(0, lc, 0)
@@ -507,14 +549,14 @@ def build_static(owner: int, dist: Mapping[int, float], occupants: Optional[Mapp
         tree._by_key[key] = e
         if parent is None:
             tree.root = e
-            tree._ad(owner, occ)
+            tree._link(owner, occ)
         else:
             e.parent = parent
             if is_right:
                 parent.right = e
             else:
                 parent.left = e
-            tree._ad(parent.occupant, occ)
+            tree._link(parent.occupant, occ)
         stack.append((lo, best_i, e, False))
         stack.append((best_i + 1, hi, e, True))
     return tree

@@ -15,6 +15,10 @@ working sets fill up.  Every forwarding decision reads only the deciding
 node's own state; each hop is validated against the live physical edge set
 at the moment it is taken.
 
+Trees write their link changes straight into the network's edge store
+(`edges`, `degree`); the degree cap 6θ is enforced once per finished tree
+operation.
+
 Cost accounting, fixed here and reported as-is: a route addition costs 2D of
 control traffic (notify + instruct) plus D per helper engaged; a conversion
 to large costs D per partner moved plus D per helper engaged; a reset costs
@@ -25,10 +29,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import compress, count
+from operator import ne
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .ego_tree import UNIT, EgoTree, _Entry, edge_key
+from .ego_tree import UNIT, EgoTree, TreeCost, _Entry, edge_key, link, unlink
 from .metrics import CostLedger
 from .trace import Trace
 
@@ -58,8 +64,8 @@ class NetParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least two nodes")
-        if self.c <= 0:
-            raise ValueError("sparsity constant c must be positive")
+        if not self.c >= 0.5:
+            raise ValueError(f"sparsity constant c must be >= 0.5 so that 2c >= 1, got {self.c}")
         if self.theta != max(2, math.ceil(4 * self.c)):
             raise ValueError(f"theta must be ceil(4c) >= 2, got {self.theta}")
         if self.delta_cap != 6 * self.theta:
@@ -81,8 +87,6 @@ class NetParams:
         virtual_root_capacity: Optional[int] = None,
         vr_policy: str = "lru",
     ) -> "NetParams":
-        if c <= 0:
-            raise ValueError("sparsity constant c must be positive")
         theta = max(2, math.ceil(4 * c))
         delta_cap = 6 * theta
         return cls(
@@ -129,9 +133,9 @@ class RequestOutcome:
 
 class _Ctx:
     __slots__ = ("hops", "adjust", "coord", "reset_cost", "reset_fired", "path",
-                 "path_ok", "touched_nodes", "touched_trees")
+                 "path_ok", "debug", "degree_before", "touched_nodes", "touched_trees")
 
-    def __init__(self, src: int):
+    def __init__(self, src: int, degree: Optional[list] = None):
         self.hops = 0
         self.adjust = 0
         self.coord = 0
@@ -139,8 +143,12 @@ class _Ctx:
         self.reset_fired = False
         self.path = [src]
         self.path_ok = True
-        self.touched_nodes: set[int] = set()
-        self.touched_trees: set[int] = set()
+        # for the debug sweep only: start degrees, changed tables and trees
+        self.debug = degree is not None
+        if self.debug:
+            self.degree_before = degree[:]
+            self.touched_nodes: set[int] = set()
+            self.touched_trees: set[int] = set()
 
 
 class Network:
@@ -156,73 +164,34 @@ class Network:
         self.path_failures = 0
         self.debug_checks = False
 
-    # -- edge multiset ------------------------------------------------------
+    # -- tree operations and the degree cap ----------------------------------
 
-    def _add_edge(self, ctx: _Ctx, a: int, b: int) -> None:
-        k = edge_key(a, b)
-        self.edges[k] = self.edges.get(k, 0) + 1
-        if a == b:
-            self.degree[a] += 2
-        else:
-            self.degree[a] += 1
-            self.degree[b] += 1
-        ctx.touched_nodes.add(a)
-        ctx.touched_nodes.add(b)
+    def _settle(self, ctx: _Ctx, tree: EgoTree, cost: TreeCost) -> None:
+        """Charge one finished tree operation, then enforce the degree cap on
+        the nodes it pushed over; a spike mid-rotation sheds nothing."""
+        ctx.adjust += cost.link_changes
+        self._shed_virtual_roots(ctx, tree.take_edge_changes())
+        if ctx.debug:
+            ctx.touched_trees.add(tree.owner)
+
+    def _shed_virtual_roots(self, ctx: _Ctx, nodes: Iterable[int]) -> None:
+        # Virtual-root links are the only unbudgeted ports; drop memberships
+        # of each node still over the cap until its degree fits again.
         cap = self.params.delta_cap
-        if self.degree[a] > cap:
-            self._shed_virtual_roots(ctx, a)
-        if b != a and self.degree[b] > cap:
-            self._shed_virtual_roots(ctx, b)
-
-    def _remove_edge(self, ctx: _Ctx, a: int, b: int) -> None:
-        k = edge_key(a, b)
-        left = self.edges.get(k, 0) - 1
-        if left < 0:
-            raise InvariantError(f"removing untracked edge {k}")
-        if left == 0:
-            del self.edges[k]
-        else:
-            self.edges[k] = left
-        if a == b:
-            self.degree[a] -= 2
-        else:
-            self.degree[a] -= 1
-            self.degree[b] -= 1
-        ctx.touched_nodes.add(a)
-        ctx.touched_nodes.add(b)
-
-    def _apply_tree(self, ctx: _Ctx, tree: EgoTree) -> None:
-        for sign, (a, b) in tree.take_edge_changes():
-            if sign > 0:
-                self._add_edge(ctx, a, b)
-            else:
-                self._remove_edge(ctx, a, b)
-
-    def _shed_virtual_roots(self, ctx: _Ctx, node: int) -> None:
-        # Virtual-root links are the only unbudgeted ports; drop this node's
-        # memberships until its degree fits the cap again.
-        while self.degree[node] > self.params.delta_cap:
-            victim = None
-            for owner in range(self.params.n):
-                s = self.nodes[owner]
-                if not s.large or s.tree is None:
-                    continue
-                for key in s.tree.vr:
-                    if s.tree.occupant_of(key) == node:
-                        victim = (owner, key)
-                        break
-                if victim:
-                    break
-            if victim is None:
-                raise InvariantError(f"degree overflow at node {node} with no virtual root to shed")
-            owner, key = victim
-            tree = self.nodes[owner].tree
-            ctx.adjust += tree.evict_virtual_root(key)
-            for sign, (a, b) in tree.take_edge_changes():
-                if sign < 0:
-                    self._remove_edge(ctx, a, b)
-                else:  # pragma: no cover - eviction only removes
-                    self._add_edge(ctx, a, b)
+        for node in nodes:
+            while self.degree[node] > cap:
+                # the first virtual root seated at `node`, by owner id, then oldest first
+                victim = next(
+                    ((s.tree, key) for s in self.nodes if s.tree is not None
+                     for key in s.tree.vr if s.tree.occupant_of(key) == node),
+                    None,
+                )
+                if victim is None:
+                    raise InvariantError(f"degree overflow at node {node} with no virtual root to shed")
+                tree, key = victim
+                ctx.adjust += tree.evict_virtual_root(key)
+                if ctx.debug:
+                    ctx.touched_trees.add(tree.owner)
 
     def _new_tree(self, owner: int) -> EgoTree:
         p = self.params
@@ -232,6 +201,9 @@ class Network:
             rotation_accounting=p.rotation_accounting,
             vr_policy=p.vr_policy,
             vr_admit=lambda occ: self.degree[occ] < p.delta_cap,
+            edge_counts=self.edges,
+            degree=self.degree,
+            degree_cap=p.delta_cap,
         )
 
     # -- request service ----------------------------------------------------
@@ -246,7 +218,7 @@ class Network:
     def serve_request(self, u: int, v: int) -> RequestOutcome:
         """Route one request, self-adjust, and account all costs."""
         self._check_ids(u, v)
-        ctx = _Ctx(u)
+        ctx = _Ctx(u, self.degree if self.debug_checks else None)
         self._route(ctx, u, v, 0)
         if self.debug_checks:
             self._debug_sweep(ctx)
@@ -285,7 +257,6 @@ class Network:
             self._route(ctx, u, v, attempt + 1)
             return
         tree = su.tree
-        ctx.touched_trees.add(u)
         res = tree.route_down(v)
         prev = u
         for occ in res.path:
@@ -316,7 +287,6 @@ class Network:
 
     def _walk_up(self, ctx: _Ctx, start: int, from_key: int, tree_owner: int) -> None:
         tree = self.nodes[tree_owner].tree
-        ctx.touched_trees.add(tree_owner)
         res = tree.route_up(from_key)
         prev = start
         for node in res.path:
@@ -325,17 +295,14 @@ class Network:
 
     def _adjust_tree(self, ctx: _Ctx, owner: int, key: int) -> None:
         tree = self.nodes[owner].tree
-        cost = tree.adjust(key)
-        ctx.adjust += cost.link_changes
-        ctx.touched_trees.add(owner)
-        self._apply_tree(ctx, tree)
+        self._settle(ctx, tree, tree.adjust(key))
 
     # -- coordinator --------------------------------------------------------
 
     def add_route(self, u: int, v: int) -> RequestOutcome:
         """Coordinator entry point for connecting a new pair (no packet)."""
         self._check_ids(u, v)
-        ctx = _Ctx(u)
+        ctx = _Ctx(u, self.degree if self.debug_checks else None)
         self._add_route(ctx, u, v)
         if self.debug_checks:
             self._debug_sweep(ctx)
@@ -354,8 +321,8 @@ class Network:
         su.working.add(v)
         sv.working.add(u)
         self.total_ws += 2
-        ctx.touched_nodes.add(u)
-        ctx.touched_nodes.add(v)
+        if ctx.debug:
+            ctx.touched_nodes.update((u, v))
         if not su.large and len(su.working) == p.theta + 1:
             self._make_large(ctx, u, no_splay_tree)
         if not sv.large and len(sv.working) == p.theta + 1:
@@ -365,8 +332,9 @@ class Network:
         if not su.large and not sv.large:
             su.S.add(v)
             sv.S.add(u)
-            self._add_edge(ctx, u, v)
+            link(self.edges, self.degree, u, v)
             ctx.adjust += 1
+            self._shed_virtual_roots(ctx, (u, v))
         elif su.large and not sv.large:
             self._tree_insert(ctx, u, v, v, no_splay_tree)
             sv.trees_in.add(u)
@@ -379,7 +347,8 @@ class Network:
             self._tree_insert(ctx, u, v, x, no_splay_tree)
             self._tree_insert(ctx, v, u, x, no_splay_tree)
             self.nodes[x].helping.add(edge_key(u, v))
-            ctx.touched_nodes.add(x)
+            if ctx.debug:
+                ctx.touched_nodes.add(x)
 
     def _pair_linked(self, u: int, v: int) -> bool:
         su, sv = self.nodes[u], self.nodes[v]
@@ -393,10 +362,7 @@ class Network:
 
     def _tree_insert(self, ctx: _Ctx, owner: int, key: int, occupant: int, no_splay_tree: Optional[int]) -> None:
         tree = self.nodes[owner].tree
-        cost = tree.insert(key, occupant, splay=(owner != no_splay_tree))
-        ctx.adjust += cost.link_changes
-        ctx.touched_trees.add(owner)
-        self._apply_tree(ctx, tree)
+        self._settle(ctx, tree, tree.insert(key, occupant, splay=(owner != no_splay_tree)))
 
     def make_large(self, u: int) -> RequestOutcome:
         """Convert a small node whose working set just crossed the threshold."""
@@ -419,16 +385,13 @@ class Network:
             ctx.coord += p.D
             for owner, key in ((a, b), (b, a)):
                 t = self.nodes[owner].tree
-                cost = t.replace_occupant(key, x2)
-                ctx.adjust += cost.link_changes
-                ctx.touched_trees.add(owner)
-                self._apply_tree(ctx, t)
+                self._settle(ctx, t, t.replace_occupant(key, x2))
             self.nodes[x2].helping.add(pair)
-            ctx.touched_nodes.add(x2)
+            if ctx.debug:
+                ctx.touched_nodes.add(x2)
         su.helping.clear()
         su.large = True
         su.tree = self._new_tree(u)
-        ctx.touched_trees.add(u)
         for v in sorted(su.working):
             sv = self.nodes[v]
             ctx.coord += p.D
@@ -436,25 +399,25 @@ class Network:
                 if v in su.S:
                     su.S.discard(v)
                     sv.S.discard(u)
-                    self._remove_edge(ctx, u, v)
+                    unlink(self.edges, self.degree, u, v)
                     ctx.adjust += 1
                 self._tree_insert(ctx, u, v, v, no_splay_tree)
                 sv.trees_in.add(u)
+                if ctx.debug:
+                    ctx.touched_nodes.add(v)
             else:
                 x = self.find_helper(u, v)
                 ctx.coord += p.D
                 self._tree_insert(ctx, u, v, x, no_splay_tree)
                 tv = sv.tree
                 if u in tv:
-                    cost = tv.replace_occupant(u, x)
-                    ctx.adjust += cost.link_changes
-                    ctx.touched_trees.add(v)
-                    self._apply_tree(ctx, tv)
+                    self._settle(ctx, tv, tv.replace_occupant(u, x))
                     su.trees_in.discard(v)
                 else:
                     self._tree_insert(ctx, v, u, x, no_splay_tree)
                 self.nodes[x].helping.add(edge_key(u, v))
-                ctx.touched_nodes.add(x)
+                if ctx.debug:
+                    ctx.touched_nodes.add(x)
         if su.S or su.trees_in:
             raise InvariantError(f"make_large({u}) left stale table entries")
 
@@ -504,8 +467,9 @@ class Network:
             s.trees_in.clear()
             s.helping.clear()
             s.tree = None
+        # cleared in place: live trees write into these same objects
         self.edges.clear()
-        self.degree = [0] * self.params.n
+        self.degree[:] = [0] * self.params.n
         self.total_ws = 0
         self.reset_count += 1
         ctx.reset_fired = True
@@ -516,7 +480,9 @@ class Network:
     def _debug_sweep(self, ctx: _Ctx) -> None:
         p = self.params
         bad: list[str] = []
-        for x in sorted(ctx.touched_nodes):
+        # without a tree operation only touched nodes' links changed
+        changed = compress(count(), map(ne, ctx.degree_before, self.degree)) if ctx.touched_trees else ()
+        for x in sorted(ctx.touched_nodes.union(changed)):
             s = self.nodes[x]
             if self.degree[x] > p.delta_cap:
                 bad.append(f"degree({x}) = {self.degree[x]} > {p.delta_cap}")
@@ -607,11 +573,8 @@ class Network:
             bad.append(f"edge multiset mismatch on {sorted(diff)[:8]}")
         degree = [0] * p.n
         for (a, b), cnt in self.edges.items():
-            if a == b:
-                degree[a] += 2 * cnt
-            else:
-                degree[a] += cnt
-                degree[b] += cnt
+            degree[a] += cnt  # a self-loop counts twice
+            degree[b] += cnt
         for x in range(p.n):
             if degree[x] != self.degree[x]:
                 bad.append(f"degree cache of node {x}: {self.degree[x]} != {degree[x]}")
@@ -708,16 +671,12 @@ class Network:
                         parent.left = e
             for key in tdata["vr"]:
                 tree.vr[key] = None
-            tree.take_edge_changes()
             net.nodes[owner].tree = tree
         for a, b, cnt in snap["edges"]:
             k = edge_key(a, b)
             net.edges[k] = net.edges.get(k, 0) + cnt
-            if a == b:
-                net.degree[a] += 2 * cnt
-            else:
-                net.degree[a] += cnt
-                net.degree[b] += cnt
+            net.degree[a] += cnt
+            net.degree[b] += cnt
         net.total_ws = snap["coordinator"]["total_ws"]
         net.reset_count = snap["coordinator"]["reset_count"]
         return net

@@ -299,7 +299,7 @@ def test_criterion_8_splay_cost_budget():
     weights = zipf_weights(n_keys, 1.0)
     accesses = rng.choice(n_keys, size=m, p=weights).tolist()
     start = time.perf_counter()
-    tree = EgoTree(owner=10**6, log_edges=False)
+    tree = EgoTree(owner=10**6)
     for k in range(n_keys):
         tree.insert(k)
     total = 0

@@ -69,6 +69,16 @@ def test_trace_file_ingestion(tmp_path):
     assert summary["n"] == 16 and summary["m"] == 200
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--workload", "torus", "--n", "16", "--m", "100"],
+    ["compare", "--n-list", "16", "--workloads", "torus", "--m", "100"],
+])
+def test_bad_network_params_exit_two(tmp_path, capsys, command):
+    assert run_cli(*command, "--c", "0.25", "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "0.5" in err[0]
+
+
 def test_missing_trace_file_exits_two(tmp_path):
     assert run_cli("run", "--trace", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")) == 2
 

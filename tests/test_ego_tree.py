@@ -16,11 +16,12 @@ def make_tree(keys, vr_capacity=0, splay=True, **kw):
     return t
 
 
-def replay_log(counter, log):
-    for sign, e in log:
-        counter[e] += sign
-        assert counter[e] >= 0, f"edge {e} went negative"
-    return +counter
+def degrees_of(edges):
+    deg = Counter()
+    for (a, b), cnt in edges.items():
+        deg[a] += cnt
+        deg[b] += cnt
+    return deg
 
 
 # -- insert --------------------------------------------------------------------
@@ -309,8 +310,8 @@ ops = st.lists(
 @given(ops, st.sampled_from([0, 3]))
 @settings(max_examples=200, deadline=None)
 def test_edge_log_matches_structure(op_list, vr_cap):
+    # every link change lands in the tree's own store as it happens
     t = EgoTree(OWNER, vr_capacity=vr_cap)
-    ledger: Counter = Counter()
     for op, key in op_list:
         if op == "insert" and key not in t:
             cost = t.insert(key)
@@ -323,9 +324,22 @@ def test_edge_log_matches_structure(op_list, vr_cap):
         else:
             continue
         assert cost.link_changes >= cost.rotations
-        ledger = replay_log(ledger, t.take_edge_changes())
-        assert ledger == t.edges()
+        assert all(cnt > 0 for cnt in t.edge_counts.values())
+        assert t.edge_counts == t.edges()
+        assert {x: d for x, d in t.degree.items() if d} == degrees_of(t.edges())
+        assert t.take_edge_changes() == []  # a standalone tree has no degree cap
         assert not t.check_structure()
+
+
+def test_take_edge_changes_reports_nodes_over_the_cap():
+    t = EgoTree(OWNER, degree_cap=2)
+    t.insert(5)
+    t.insert(3, splay=False)        # 5 links to the owner and to 3
+    assert t.take_edge_changes() == []
+    t.insert(7, splay=False)        # a third link at 5
+    assert t.take_edge_changes() == [5]
+    assert t.take_edge_changes() == []  # each report is handed over once
+    assert t.degree[5] == 3 and t.edge_counts[(5, 7)] == 1
 
 
 def test_raw_accounting_charges_more():

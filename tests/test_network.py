@@ -3,9 +3,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from renet.ego_tree import EgoTree
 from renet.metrics import average_cost
-from renet.network import NetParams, Network, new_network, replay_trace
-from renet.trace import StarZipf, Torus, generate
+from renet.network import InvariantError, NetParams, Network, new_network, replay_trace
+from renet.trace import ProductDist, StarZipf, Torus, generate, zipf_weights
 
 
 def fresh(n, c, **kw):
@@ -38,6 +39,13 @@ def test_params_small_c():
 def test_params_reject_single_node():
     with pytest.raises(ValueError):
         NetParams.make(1, 1)
+
+
+@pytest.mark.parametrize("c", [0.49, 0.25, 0, -1])
+def test_params_reject_c_below_half(c):
+    # 2c < 1 would leave every node without room for a single helper duty
+    with pytest.raises(ValueError, match="c must be >= 0.5"):
+        NetParams.make(16, c)
 
 
 def test_params_reject_inconsistent_fields():
@@ -238,6 +246,58 @@ def test_route_reaching_threshold_resets_first():
     # post-reset the triggering pair is the only surviving state
     assert net.total_ws == 2 and net.edges == {(0, 2): 1}
     assert net.validate_invariants() == []
+
+
+# -- degree cap ----------------------------------------------------------------------
+
+
+def test_degree_overflow_sheds_a_virtual_root(monkeypatch):
+    # node 0 ends up with four seats: a partner of 8 and 15, and the helper
+    # relaying (8, 15) in both trees; virtual-root links then push it over
+    evicted = []
+    evict = EgoTree.evict_virtual_root
+
+    def spy(tree, key):
+        evicted.append((tree.owner, key))
+        return evict(tree, key)
+
+    monkeypatch.setattr(EgoTree, "evict_virtual_root", spy)
+    net = fresh(32, 0.5)
+    pairs = [(15, 31), (26, 15), (15, 29), (8, 15), (8, 12), (8, 0), (15, 0), (15, 30), (30, 8), (15, 8)]
+    for u, v in pairs:
+        assert net.serve_request(u, v).path_ok
+    assert evicted
+    for owner, key in evicted:
+        assert key not in net.nodes[owner].tree.virtual_roots()
+    assert max(net.degree) <= net.params.delta_cap
+    assert net.validate_invariants() == []
+
+
+def test_shedding_waits_for_the_tree_operation_to_finish():
+    # once raised InvariantError("removing untracked edge (0, 14)") at request
+    # 3393: the cap was enforced halfway through a tree's link changes and
+    # shed a virtual root whose link was still pending
+    px = tuple(zipf_weights(256, 1.0).tolist())
+    tr = generate(ProductDist(256, 20 * 256, px, tuple(reversed(px))), seed=3)
+    net = Network(NetParams.make(256, 0.5))
+    ledger = replay_trace(net, tr)
+    assert ledger.m == len(tr)
+    assert net.path_failures == 0
+    assert net.validate_invariants() == []
+
+
+def test_debug_sweep_catches_degree_overflow_on_tree_occupant():
+    net = fresh(16, 0.5, virtual_root_capacity=0)
+    tree = grow_large(net, 0, (3, 4, 5))
+    root = tree.root.key
+    target = next(k for k in tree.keys_inorder() if k != root)
+    # the splay only lowers the old root's degree, so no tree operation
+    # reports it; the sweep must still look at every node whose degree moved
+    net.degree[root] += net.params.delta_cap
+    injected = net.degree[root]
+    with pytest.raises(InvariantError, match=rf"degree\({root}\) = \d+ > {net.params.delta_cap}"):
+        net.serve_request(0, target)
+    assert net.degree[root] < injected
 
 
 # -- invariants and snapshots --------------------------------------------------------
