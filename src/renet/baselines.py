@@ -3,7 +3,9 @@
 The oblivious baseline is an undirected binary de Bruijn graph: degree at
 most four, diameter exactly log2 of the (power-of-two rounded) vertex count,
 and fully deterministic, so no randomness leaks into comparisons.  Nodes map
-to vertices by the identity embedding, deliberately ignoring the demand.
+to vertices by the identity embedding, deliberately ignoring the demand.  Its
+cost is priced by one level-synchronous numpy BFS per block of up to
+`BFS_BLOCK` distinct sources, over a fixed [vertex, 4] neighbour array.
 
 The static baseline knows the whole trace in advance: it classifies nodes
 with the same working-set threshold, wires small-small pairs directly, gives
@@ -26,60 +28,55 @@ from .network import NetParams
 from .trace import Trace, build_demand_graph
 
 
-@dataclass(frozen=True)
+BFS_BLOCK = 128  # sources per BFS in `oblivious_cost`: ~2 MiB of state at n=4096
+
+
+@dataclass(frozen=True, eq=False)
 class ObliviousNet:
-    """Undirected binary de Bruijn graph over 2^k >= n vertices."""
+    """Undirected binary de Bruijn graph over 2^k >= n vertices.
+
+    Row v of the [size, 4] `neighbours` array lists v's neighbours, padded with v itself."""
 
     n: int
     k: int
-    adjacency: tuple
+    neighbours: np.ndarray
 
     @classmethod
     def build(cls, n: int) -> "ObliviousNet":
         if n < 2:
             raise ValueError("need at least two nodes")
         k = max(1, math.ceil(math.log2(n)))
-        size = 1 << k
-        mask = size - 1
-        adj = []
-        for v in range(size):
-            neigh = {
-                (v << 1) & mask,
-                ((v << 1) & mask) | 1,
-                v >> 1,
-                (v >> 1) | (1 << (k - 1)),
-            }
-            neigh.discard(v)
-            adj.append(tuple(sorted(neigh)))
-        return cls(n=n, k=k, adjacency=tuple(adj))
+        mask = (1 << k) - 1
+        v = np.arange(mask + 1, dtype=np.intp)[:, None]
+        nb = np.sort(np.hstack([(v << 1) & mask, ((v << 1) & mask) | 1, v >> 1, (v >> 1) | (1 << (k - 1))]), axis=1)
+        repeat = np.hstack([np.zeros_like(v, dtype=bool), nb[:, 1:] == nb[:, :-1]])
+        return cls(n=n, k=k, neighbours=np.where(repeat, v, nb))
 
     @property
     def size(self) -> int:
         return 1 << self.k
 
     def max_degree(self) -> int:
-        return max(len(a) for a in self.adjacency)
+        return int((self.neighbours != np.arange(self.size)[:, None]).sum(axis=1).max())
 
-    def distances_from(self, src: int) -> np.ndarray:
-        """BFS hop distances from one vertex to every vertex."""
-        dist = np.full(self.size, -1, dtype=np.int32)
-        dist[src] = 0
-        frontier = [src]
+    def distances_from(self, sources) -> np.ndarray:
+        """Hop distances from every `sources[i]` at once, as int16 [vertex, i].
+
+        One level-synchronous BFS: rows are vertices, so each gather copies whole rows."""
+        dist = np.full((self.size, len(sources)), -1, dtype=np.int16)
+        dist[np.asarray(sources, dtype=np.intp), np.arange(len(sources))] = 0
+        frontier = dist == 0
+        nb = self.neighbours
         d = 0
-        adj = self.adjacency
-        while frontier:
+        while frontier.any():
             d += 1
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if dist[w] < 0:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
+            frontier = frontier[nb[:, 0]] | frontier[nb[:, 1]] | frontier[nb[:, 2]] | frontier[nb[:, 3]]
+            frontier &= dist < 0
+            dist[frontier] = d
         return dist
 
     def diameter(self) -> int:
-        return max(int(self.distances_from(v).max()) for v in range(self.size))
+        return int(self.distances_from(np.arange(self.size)).max())
 
 
 def oblivious_cost(net: ObliviousNet, trace: Trace) -> float:
@@ -87,14 +84,14 @@ def oblivious_cost(net: ObliviousNet, trace: Trace) -> float:
     if len(trace) == 0:
         raise ValueError("empty trace")
     counts = trace.pair_counts()
-    by_src: dict[int, list] = {}
-    for (u, v), cnt in counts.items():
-        by_src.setdefault(u, []).append((v, cnt))
+    pairs = np.array(list(counts), dtype=np.intp)
+    cnt = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    sources, col = np.unique(pairs[:, 0], return_inverse=True)
     total = 0
-    for u in sorted(by_src):
-        dist = net.distances_from(u)
-        for v, cnt in by_src[u]:
-            total += int(dist[v]) * cnt
+    for start in range(0, len(sources), BFS_BLOCK):
+        dist = net.distances_from(sources[start:start + BFS_BLOCK])
+        sel = (col >= start) & (col < start + BFS_BLOCK)
+        total += int((dist[pairs[sel, 1], col[sel] - start] * cnt[sel]).sum())
     return total / len(trace)
 
 
@@ -125,14 +122,6 @@ class StaticDan:
     depths: dict          # large node -> {key: depth}
     helpers: dict         # (a, b) with a < b -> helper node
     degree: dict = field(default_factory=dict)
-
-    def snapshot(self) -> dict:
-        return {
-            "params": {"n": self.params.n, "c": self.params.c, "delta_cap": self.params.delta_cap},
-            "size_classes": {"large": sorted(self.large)},
-            "edges": sorted([a, b, cnt] for (a, b), cnt in self._edges().items()),
-            "trees": {str(w): {"inorder": t.debug_string()} for w, t in self.trees.items()},
-        }
 
     def _edges(self) -> Counter:
         edges: Counter = Counter()

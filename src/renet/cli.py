@@ -127,7 +127,10 @@ def build_trace(cfg: ExperimentConfig, seed: int) -> Trace:
     if cfg.trace:
         with open(cfg.trace) as fh:
             return read_trace_csv(fh)
-    return generate(make_workload(cfg), seed)
+    try:
+        return generate(make_workload(cfg), seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def make_params(cfg: ExperimentConfig, n: int) -> NetParams:
@@ -214,6 +217,8 @@ def run_cell(cfg: ExperimentConfig, trace: Trace, params: NetParams, outdir: Pat
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
+    if cfg.reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {cfg.reps}")
     base = Path(cfg.out)
     summaries = []
     for rep in range(cfg.reps):

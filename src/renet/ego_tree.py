@@ -29,6 +29,14 @@ RAW = "raw"
 _ROTATION_LINK_COST = {UNIT: 1, RAW: 6}
 
 
+def check_tree_modes(rotation_accounting: str, vr_policy: str) -> None:
+    """Reject an unknown rotation accounting mode or virtual-root policy."""
+    if rotation_accounting not in _ROTATION_LINK_COST:
+        raise ValueError(f"rotation_accounting must be one of {sorted(_ROTATION_LINK_COST)}, got {rotation_accounting!r}")
+    if vr_policy not in ("lru", "fifo"):
+        raise ValueError(f"vr_policy must be 'lru' or 'fifo', got {vr_policy!r}")
+
+
 def edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
@@ -102,10 +110,7 @@ class EgoTree:
         degree=None,
         degree_cap: int = sys.maxsize,
     ):
-        if rotation_accounting not in _ROTATION_LINK_COST:
-            raise ValueError(f"rotation_accounting must be one of {sorted(_ROTATION_LINK_COST)}")
-        if vr_policy not in ("lru", "fifo"):
-            raise ValueError("vr_policy must be 'lru' or 'fifo'")
+        check_tree_modes(rotation_accounting, vr_policy)
         if vr_capacity < 0:
             raise ValueError("vr_capacity must be >= 0")
         self.owner = owner

@@ -34,7 +34,7 @@ from operator import ne
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .ego_tree import UNIT, EgoTree, TreeCost, _Entry, edge_key, link, unlink
+from .ego_tree import UNIT, EgoTree, TreeCost, _Entry, check_tree_modes, edge_key, link, unlink
 from .metrics import CostLedger
 from .trace import Trace
 
@@ -76,6 +76,7 @@ class NetParams:
             raise ValueError("virtual root capacity must lie in [0, degree cap - 1]")
         if self.D < 1:
             raise ValueError("oblivious message cost D must be >= 1")
+        check_tree_modes(self.rotation_accounting, self.vr_policy)
 
     @classmethod
     def make(

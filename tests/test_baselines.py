@@ -1,5 +1,7 @@
 import math
+from collections import deque
 
+import numpy as np
 import pytest
 
 from renet.baselines import (
@@ -43,10 +45,54 @@ def test_de_bruijn_rounds_up_to_power_of_two():
     assert net.size == 16 and net.k == 4
 
 
+def reference_distances(net, src):
+    """Plain single-source BFS over the de Bruijn shifts of each vertex."""
+    mask = net.size - 1
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        v = queue.popleft()
+        for w in ((v << 1) & mask, ((v << 1) & mask) | 1, v >> 1, (v >> 1) | (1 << (net.k - 1))):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return [dist[w] for w in range(net.size)]
+
+
+def reference_cost(net, trace):
+    rows = {u: reference_distances(net, u) for u in set(trace.src.tolist())}
+    return sum(rows[u][v] * cnt for (u, v), cnt in trace.pair_counts().items()) / len(trace)
+
+
 def test_oblivious_distances_within_diameter():
     net = ObliviousNet.build(8)
-    for src in range(8):
-        assert int(net.distances_from(src).max()) <= 3
+    dist = net.distances_from(range(8))
+    assert dist.shape == (8, 8)
+    assert int(dist.max()) <= 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 64, 100])
+def test_batched_bfs_matches_single_source_bfs(n):
+    net = ObliviousNet.build(n)
+    sources = [0, net.size - 1, 1, 0]  # a repeated source gets its own column too
+    dist = net.distances_from(sources)
+    assert dist.dtype == np.int16 and dist.shape == (net.size, len(sources))
+    for i, src in enumerate(sources):
+        assert dist[:, i].tolist() == reference_distances(net, src)
+    every = net.distances_from(range(net.size))
+    for src in range(net.size):
+        assert every[:, src].tolist() == reference_distances(net, src)
+
+
+@pytest.mark.parametrize("n, spec", [
+    (300, UniformPairs(300, 5000)),   # 300 distinct sources: three BFS blocks
+    (256, StarZipf(256, 4000, 1.0)),
+    (400, Torus(400, 6000)),          # n not a power of two
+])
+def test_oblivious_cost_equals_per_pair_sum(n, spec):
+    tr = generate(spec, seed=11)
+    net = ObliviousNet.build(n)
+    assert oblivious_cost(net, tr) == reference_cost(net, tr)
 
 
 def test_oblivious_cost_bounded_by_diameter():

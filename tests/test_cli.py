@@ -79,6 +79,27 @@ def test_bad_network_params_exit_two(tmp_path, capsys, command):
     assert len(err) == 1 and err[0].startswith("config error:") and "0.5" in err[0]
 
 
+@pytest.mark.parametrize("flag", ["--rotation-accounting", "--vr-policy"])
+@pytest.mark.parametrize("workload", [
+    ["--workload", "torus", "--n", "16", "--c", "4"],   # builds no tree
+    ["--workload", "star", "--n", "32", "--c", "0.5"],  # converts the hub
+])
+def test_unknown_tree_mode_exits_two(tmp_path, capsys, flag, workload):
+    assert run_cli("run", *workload, "--m", "200", flag, "bogus", "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "bogus" in err[0]
+
+
+@pytest.mark.parametrize("args, words", [
+    (["--workload", "torus", "--n", "10"], "perfect square"),
+    (["--workload", "torus", "--n", "16", "--reps", "0"], "reps"),
+])
+def test_bad_run_config_exits_two(tmp_path, capsys, args, words):
+    assert run_cli("run", *args, "--m", "100", "--c", "4", "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and words in err[0]
+
+
 def test_missing_trace_file_exits_two(tmp_path):
     assert run_cli("run", "--trace", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")) == 2
 
