@@ -1,12 +1,12 @@
 """Self-adjusting demand-aware network simulator.
 
-Submodules: `trace` (workloads, sparsity, demand graphs), `entropy`
+Submodules: `trace` (traces, workloads, sparsity, trace files), `entropy`
 (empirical entropy measures), `ego_tree` (splay-tree networks and the fixed
 weight-bisected variant), `network` (the adaptive network and coordinator),
 `baselines` (oblivious and clairvoyant-static reference points), `metrics`
 (cost ledgers and the optimality ratio), `cli` (experiment runner).
 """
 
-from .network import NetParams, Network, new_network, replay_trace
+from .network import NetParams, Network, replay_trace
 
-__all__ = ["NetParams", "Network", "new_network", "replay_trace"]
+__all__ = ["NetParams", "Network", "replay_trace"]

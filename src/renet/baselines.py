@@ -10,8 +10,10 @@ cost is priced by one level-synchronous numpy BFS per block of up to
 The static baseline knows the whole trace in advance: it classifies nodes
 with the same working-set threshold, wires small-small pairs directly, gives
 every large node a fixed weight-bisected tree over its partners (weighted by
-symmetrized pair frequencies), and relays large-large pairs through
-least-loaded helpers.  Replay over it incurs zero adjustment cost.
+symmetrized pair frequencies), and relays large-large pairs through helpers
+picked by the adaptive network's own selector (`Network.find_helper`).
+Replay over it incurs zero adjustment cost.  Its lower bound is the same
+`demand_entropy` that window reports use, over the whole trace.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ego_tree import EgoTree, build_static, edge_key
-from .entropy import X_GIVEN_Y, Y_GIVEN_X, conditional_entropy, normalized
-from .network import NetParams
-from .trace import Trace, build_demand_graph
+from .entropy import demand_entropy, normalized
+from .network import HelperExhaustion, NetParams, Network
+from .trace import Trace
 
 
 BFS_BLOCK = 128  # sources per BFS in `oblivious_cost`: ~2 MiB of state at n=4096
@@ -100,11 +102,7 @@ def static_lower_bound(trace: Trace, degree: float) -> float:
     two conditional entropies of the full-trace demand, in base `degree`."""
     if degree <= 1:
         raise ValueError("degree base must be > 1")
-    joint = build_demand_graph(trace).edges
-    return max(
-        conditional_entropy(joint, Y_GIVEN_X, base=degree),
-        conditional_entropy(joint, X_GIVEN_Y, base=degree),
-    )
+    return demand_entropy(trace, degree)
 
 
 class StaticBuildError(ValueError):
@@ -160,33 +158,21 @@ def build_static_dan(trace: Trace, params: NetParams) -> StaticDan:
             direct[u].add(v)
             direct[v].add(u)
 
-    # helper assignment for large-large pairs, least-loaded then smallest id
-    load: dict[int, int] = {i: 0 for i in range(params.n)}
-    tree_seats: dict[int, int] = {i: 0 for i in range(params.n)}
-    for u in range(params.n):
-        if u not in large:
-            tree_seats[u] = sum(1 for w in partners[u] if w in large)
+    # large-large pairs get helpers from the online selector over the static tables
+    net = Network(params)
+    for x, s in enumerate(net.nodes):
+        s.large = x in large
+        if not s.large:
+            s.S = direct[x]
+            s.trees_in = partners[x] & large
     helpers: dict[tuple[int, int], int] = {}
-    ll_pairs = sorted(k for k in sym if k[0] in large and k[1] in large)
-    for (a, b) in ll_pairs:
-        best = -1
-        best_load = None
-        for x in range(params.n):
-            if x == a or x == b or x in large:
-                continue
-            if load[x] + 1 > 2 * params.c:
-                continue
-            ports = len(direct[x]) + 3 * tree_seats[x] + 6 * (load[x] + 1)
-            if ports > params.delta_cap:
-                continue
-            if best_load is None or load[x] < best_load:
-                best, best_load = x, load[x]
-                if best_load == 0:
-                    break
-        if best < 0:
-            raise StaticBuildError(f"no helper available for static pair ({a}, {b})")
-        helpers[(a, b)] = best
-        load[best] += 1
+    for (a, b) in sorted(k for k in sym if k[0] in large and k[1] in large):
+        try:
+            x = net.find_helper(a, b)
+        except HelperExhaustion:
+            raise StaticBuildError(f"no helper available for static pair ({a}, {b})") from None
+        net.nodes[x].helping.add((a, b))
+        helpers[(a, b)] = x
 
     trees: dict[int, EgoTree] = {}
     depths: dict[int, dict] = {}

@@ -124,13 +124,18 @@ def make_workload(cfg: ExperimentConfig):
 
 
 def build_trace(cfg: ExperimentConfig, seed: int) -> Trace:
-    if cfg.trace:
-        with open(cfg.trace) as fh:
-            return read_trace_csv(fh)
     try:
-        return generate(make_workload(cfg), seed)
+        if cfg.trace:
+            with open(cfg.trace) as fh:
+                trace = read_trace_csv(fh)
+        else:
+            trace = generate(make_workload(cfg), seed)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        where = f"trace file {cfg.trace}: " if cfg.trace else ""
+        raise ConfigError(f"{where}{exc}") from exc
+    if len(trace) == 0:
+        raise ConfigError(f"trace file {cfg.trace} holds no requests" if cfg.trace else "the workload has no requests")
+    return trace
 
 
 def make_params(cfg: ExperimentConfig, n: int) -> NetParams:

@@ -61,7 +61,6 @@ def unlink(edges: dict, degree, a: int, b: int) -> None:
 
 @dataclass
 class TreeCost:
-    hops: int = 0
     link_changes: int = 0
     rotations: int = 0
 
@@ -72,7 +71,6 @@ class DownRoute:
 
     hit: bool
     path: list  # occupants visited, root (or virtual root) first
-    hops: int
     anchor_key: Optional[int]  # on a miss, the key where the search fell off
 
 
@@ -80,7 +78,6 @@ class DownRoute:
 class UpRoute:
     """Result of a key-to-owner parent walk."""
 
-    hops: int
     path: list  # occupants of the parent chain, ending with the owner
 
 
@@ -105,7 +102,6 @@ class EgoTree:
         rotation_accounting: str = UNIT,
         vr_policy: str = "lru",
         vr_admit: Optional[Callable[[int], bool]] = None,
-        static: bool = False,
         edge_counts: Optional[dict] = None,
         degree=None,
         degree_cap: int = sys.maxsize,
@@ -118,7 +114,6 @@ class EgoTree:
         self.vr_capacity = vr_capacity
         self.vr_policy = vr_policy
         self.vr_admit = vr_admit
-        self.static = static
         self.vr: "OrderedDict[int, None]" = OrderedDict()  # oldest first
         self._by_key: dict[int, _Entry] = {}
         self._rot_lc = _ROTATION_LINK_COST[rotation_accounting]
@@ -150,10 +145,6 @@ class EgoTree:
         return over
 
     # -- introspection ------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return len(self._by_key)
 
     def __contains__(self, key: int) -> bool:
         return key in self._by_key
@@ -363,15 +354,13 @@ class EgoTree:
         this when a packet is mid-walk and the delivery adjustment will do
         the splaying.
         """
-        if self.static:
-            raise RuntimeError("static tree: insert disabled")
         e = self._attach_leaf(key, key if occupant is None else occupant)
         lc = 1
         rotations = 0
         if splay:
             rotations = self._splay(e)
             lc += rotations * self._rot_lc
-        return TreeCost(0, lc, rotations)
+        return TreeCost(lc, rotations)
 
     def route_down(self, key: int) -> DownRoute:
         """Comparison walk from the root; one hop owner->root, one per level.
@@ -380,20 +369,20 @@ class EgoTree:
         stops at the entry whose missing child the key would occupy.
         """
         if self.root is None:
-            return DownRoute(False, [], 0, None)
+            return DownRoute(False, [], None)
         if key in self.vr:
             if self.vr_policy == "lru":
                 self.vr.move_to_end(key)
-            return DownRoute(True, [self._by_key[key].occupant], 1, key)
+            return DownRoute(True, [self._by_key[key].occupant], key)
         path: list[int] = []
         e = self.root
         while True:
             path.append(e.occupant)
             if key == e.key:
-                return DownRoute(True, path, len(path), key)
+                return DownRoute(True, path, key)
             nxt = e.left if key < e.key else e.right
             if nxt is None:
-                return DownRoute(False, path, len(path), e.key)
+                return DownRoute(False, path, e.key)
             e = nxt
 
     def route_up(self, from_key: int) -> UpRoute:
@@ -402,18 +391,16 @@ class EgoTree:
         if from_key in self.vr:
             if self.vr_policy == "lru":
                 self.vr.move_to_end(from_key)
-            return UpRoute(1, [self.owner])
+            return UpRoute([self.owner])
         path: list[int] = []
         while e.parent is not None:
             e = e.parent
             path.append(e.occupant)
         path.append(self.owner)
-        return UpRoute(len(path), path)
+        return UpRoute(path)
 
     def adjust(self, key: int) -> TreeCost:
         """Splay `key` to the root and refresh the virtual-root set."""
-        if self.static:
-            raise RuntimeError("static tree: adjust disabled")
         e = self._by_key[key]
         rotations = self._splay(e)
         lc = rotations * self._rot_lc
@@ -427,7 +414,7 @@ class EgoTree:
                 self.vr[key] = None
                 self._link(self.owner, e.occupant)
                 lc += 1
-        return TreeCost(0, lc, rotations)
+        return TreeCost(lc, rotations)
 
     def _drop_virtual_root(self, key: int) -> int:
         del self.vr[key]
@@ -440,53 +427,6 @@ class EgoTree:
             raise KeyError(f"{key} is not a virtual root of tree({self.owner})")
         return self._drop_virtual_root(key)
 
-    def remove(self, key: int) -> TreeCost:
-        """Splay-delete: splay the key to the root, then join the subtrees."""
-        if self.static:
-            raise RuntimeError("static tree: remove disabled")
-        e = self._by_key[key]
-        rotations = self._splay(e)
-        lc = rotations * self._rot_lc
-        if key in self.vr:
-            lc += self._drop_virtual_root(key)
-        left, right = e.left, e.right
-        self._unlink(self.owner, e.occupant)
-        lc += 1
-        if left is not None:
-            self._unlink(e.occupant, left.occupant)
-            left.parent = None
-            lc += 1
-        if right is not None:
-            self._unlink(e.occupant, right.occupant)
-            right.parent = None
-            lc += 1
-        del self._by_key[key]
-        if left is None and right is None:
-            self.root = None
-        elif left is None:
-            self.root = right
-            self._link(self.owner, right.occupant)
-            lc += 1
-        elif right is None:
-            self.root = left
-            self._link(self.owner, left.occupant)
-            lc += 1
-        else:
-            self.root = left
-            self._link(self.owner, left.occupant)
-            lc += 1
-            mx = left
-            while mx.right is not None:
-                mx = mx.right
-            extra = self._splay(mx)
-            rotations += extra
-            lc += extra * self._rot_lc
-            mx.right = right
-            right.parent = mx
-            self._link(mx.occupant, right.occupant)
-            lc += 1
-        return TreeCost(0, lc, rotations)
-
     def replace_occupant(self, key: int, new_occupant: int) -> TreeCost:
         """Swap the physical node at `key` in place, rewiring adjacent links."""
         e = self._by_key[key]
@@ -494,7 +434,7 @@ class EgoTree:
             raise ValueError("entry occupant cannot be the tree owner")
         old = e.occupant
         if new_occupant == old:
-            return TreeCost(0, 0, 0)
+            return TreeCost(0, 0)
         lc = 0
         if e.parent is None:
             self._unlink(self.owner, old)
@@ -513,15 +453,15 @@ class EgoTree:
             self._link(self.owner, new_occupant)
             lc += 1
         e.occupant = new_occupant
-        return TreeCost(0, lc, 0)
+        return TreeCost(lc, 0)
 
 
 def build_static(owner: int, dist: Mapping[int, float], occupants: Optional[Mapping[int, int]] = None) -> EgoTree:
     """Fixed weight-bisected tree: each subtree roots at the key whose split
     minimizes |weight(left) - weight(right)|, ties to the smaller key.
 
-    The result is read-only for adjustments; expected depth under `dist`
-    tracks the entropy of the weights.
+    The static baseline only reads depths and edges of the result; expected
+    depth under `dist` tracks the entropy of the weights.
     """
     items = sorted((k, dist[k]) for k in dist)
     if not items:
@@ -532,7 +472,7 @@ def build_static(owner: int, dist: Mapping[int, float], occupants: Optional[Mapp
     prefix = [0.0]
     for _, w in items:
         prefix.append(prefix[-1] + w)
-    tree = EgoTree(owner, vr_capacity=0, static=True)
+    tree = EgoTree(owner, vr_capacity=0)
     occupants = occupants or {}
     stack: list[tuple[int, int, Optional[_Entry], bool]] = [(0, len(keys), None, False)]
     while stack:

@@ -106,6 +106,17 @@ def conditional_entropy(joint: Mapping, direction: str, base: float = 2.0) -> fl
     return max(0.0, h / lb)
 
 
+def demand_entropy(trace, base: float, start: int = 0, stop: int | None = None) -> float:
+    """h_con of trace[start:stop]: the larger of the two conditional entropies
+    of its normalized pair counts.  Window reports and the static lower bound
+    both use this one rule."""
+    joint = normalized(trace.pair_counts(start, stop))
+    return max(
+        conditional_entropy(joint, Y_GIVEN_X, base),
+        conditional_entropy(joint, X_GIVEN_Y, base),
+    )
+
+
 def symmetrize(joint: Mapping) -> dict:
     """Half-sum symmetrization: out(x, y) = (f(x, y) + f(y, x)) / 2."""
     check_dist(joint)

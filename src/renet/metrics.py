@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
-from .entropy import X_GIVEN_Y, Y_GIVEN_X, conditional_entropy, normalized
+from .entropy import demand_entropy
 from .trace import Trace
 
 
@@ -76,19 +76,13 @@ def window_report(
         start, stop = bounds[i], bounds[i + 1]
         if stop <= start:
             continue
-        sub = ledger.slice(start, stop)
-        joint = normalized(trace.pair_counts(start, stop))
-        h_con = max(
-            conditional_entropy(joint, Y_GIVEN_X, base),
-            conditional_entropy(joint, X_GIVEN_Y, base),
-        )
         rows.append(
             WindowRow(
                 index=i,
                 start=start,
                 length=stop - start,
-                avg_cost=average_cost(sub, include_coord),
-                h_con=h_con,
+                avg_cost=average_cost(ledger.slice(start, stop), include_coord),
+                h_con=demand_entropy(trace, base, start, stop),
             )
         )
     return rows

@@ -31,7 +31,7 @@ import math
 from collections import Counter
 from itertools import compress, count
 from operator import ne
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional
 
 from .ego_tree import UNIT, EgoTree, TreeCost, _Entry, check_tree_modes, edge_key, link, unlink
@@ -616,17 +616,7 @@ class Network:
                     "inorder": s.tree.debug_string(),
                 }
         return {
-            "params": {
-                "n": self.params.n,
-                "c": self.params.c,
-                "theta": self.params.theta,
-                "delta_cap": self.params.delta_cap,
-                "D": self.params.D,
-                "reset_threshold": self.params.reset_threshold,
-                "rotation_accounting": self.params.rotation_accounting,
-                "virtual_root_capacity": self.params.virtual_root_capacity,
-                "vr_policy": self.params.vr_policy,
-            },
+            "params": asdict(self.params),
             "size_classes": {"large": sorted(s.id for s in self.nodes if s.large)},
             "nodes": [
                 {
@@ -646,6 +636,7 @@ class Network:
     @classmethod
     def from_snapshot(cls, snap: dict) -> "Network":
         params = NetParams(**snap["params"])
+        _check_snapshot_ids(snap, params.n)
         net = cls(params)
         large_ids = set(snap["size_classes"]["large"])
         for rec in snap["nodes"]:
@@ -683,9 +674,18 @@ class Network:
         return net
 
 
-def new_network(params: NetParams) -> Network:
-    """Fresh network: every node small, all tables and edge sets empty."""
-    return Network(params)
+def _check_snapshot_ids(snap: dict, n: int) -> None:
+    """Reject node ids outside [0, n): a large one would index past the node
+    tables, and a negative one would alias a node counted from the end."""
+    named = list(snap["size_classes"]["large"]) + [int(owner) for owner in snap["trees"]]
+    for rec in snap["nodes"]:
+        named += [rec["id"], *rec["working"], *rec["S"], *rec["trees_in"], *(x for pair in rec["helping"] for x in pair)]
+    for tdata in snap["trees"].values():
+        named += [x for rec in tdata["entries"] for x in (rec["key"], rec["occupant"])] + list(tdata["vr"])
+    named += [x for a, b, _ in snap["edges"] for x in (a, b)]
+    bad = [x for x in named if not 0 <= x < n]
+    if bad:
+        raise ValueError(f"node id {bad[0]} outside [0, {n})")
 
 
 def replay_trace(net: Network, trace: Trace) -> CostLedger:

@@ -1,4 +1,4 @@
-"""Communication traces, synthetic workloads, demand graphs, sparsity checks.
+"""Communication traces, synthetic workloads, sparsity checks, trace files.
 
 Node addresses are plain ints 0..n-1 used only as opaque, totally ordered
 keys; nothing structural is ever derived from their values.  Requests are
@@ -13,7 +13,6 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
-NodeId = int
 Request = tuple[int, int]
 
 
@@ -67,34 +66,6 @@ class Trace:
             (int(c) // self.n, int(c) % self.n): int(k)
             for c, k in zip(uniq.tolist(), counts.tolist())
         }
-
-
-@dataclass(frozen=True)
-class DemandGraph:
-    """Directed weighted demand graph of a (sub)trace; weights sum to one."""
-
-    nodes: frozenset
-    edges: dict
-
-    def __post_init__(self):
-        total = sum(self.edges.values())
-        if self.edges and abs(total - 1.0) > 1e-9:
-            raise ValueError(f"demand weights sum to {total}, expected 1")
-        for (u, v) in self.edges:
-            if u == v:
-                raise ValueError("demand edge endpoints must be distinct")
-
-
-def build_demand_graph(trace: Trace, start: int = 0, stop: int | None = None) -> DemandGraph:
-    """Demand graph of trace[start:stop]; weight = pair count / range length."""
-    stop = len(trace) if stop is None else stop
-    if stop <= start:
-        raise ValueError("empty request range")
-    counts = trace.pair_counts(start, stop)
-    length = stop - start
-    edges = {pair: counts[pair] / length for pair in sorted(counts)}
-    nodes = frozenset(u for e in edges for u in e)
-    return DemandGraph(nodes=nodes, edges=edges)
 
 
 @dataclass(frozen=True)
@@ -316,11 +287,14 @@ def read_trace_csv(fh: IO[str]) -> Trace:
         raise ValueError("trace file must start with a '#n=<count>' header line")
     n = int(header[3:])
     src, dst = [], []
-    for line in fh:
+    for lineno, line in enumerate(fh, 2):
         line = line.strip()
         if not line:
             continue
-        a, b = line.split(",")
-        src.append(int(a))
-        dst.append(int(b))
+        try:
+            a, b = line.split(",")
+            src.append(int(a))
+            dst.append(int(b))
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected 'src,dst', got {line!r}") from None
     return Trace(n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))

@@ -304,7 +304,7 @@ def test_criterion_8_splay_cost_budget():
         tree.insert(k)
     total = 0
     for k in accesses:
-        total += tree.route_down(k).hops
+        total += len(tree.route_down(k).path)
         total += tree.adjust(k).rotations
     elapsed = time.perf_counter() - start
     counts = {}

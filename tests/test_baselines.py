@@ -14,7 +14,7 @@ from renet.baselines import (
 )
 from renet.ego_tree import expected_depth
 from renet.entropy import entropy, normalized
-from renet.network import NetParams
+from renet.network import HelperExhaustion, NetParams, Network
 from renet.trace import StarZipf, Torus, Trace, UniformPairs, generate
 
 
@@ -174,6 +174,34 @@ def test_static_dan_rejects_dense_demand():
     pairs = [(u, v) for u in range(4) for v in range(4, 8)]
     with pytest.raises(StaticBuildError):
         build_static_dan(Trace.from_pairs(16, pairs), params)
+
+
+def test_static_helpers_least_loaded_then_smallest_id():
+    params = NetParams.make(15, 1)  # theta 4, helper load <= 2, at most 15 unique pairs
+    hubs = range(6)  # each hub's 5 partners are the other hubs, so all six are large
+    pairs = [(a, b) for a in hubs for b in hubs if a < b]
+    tr = Trace.from_pairs(15, pairs)
+    dan = build_static_dan(tr, params)
+    assert dan.large == set(hubs)
+    # 15 large-large pairs in sorted order over the 9 small nodes 6..14: the
+    # first nine take one idle node each, the last six reuse 6..11 in id order
+    assert [dan.helpers[pair] for pair in pairs] == list(range(6, 15)) + list(range(6, 12))
+    assert max(dan.degree.values()) <= params.delta_cap
+    assert stat_cost(dan, tr) == pytest.approx(
+        sum(dan.depths[a][b] + dan.depths[b][a] + 2 for a, b in pairs) / len(pairs)
+    )
+
+
+def test_static_helper_exhaustion_is_a_build_error(monkeypatch):
+    # unreachable under the c*n pair cap (the small nodes' helper room always
+    # exceeds the large-large pairs), so force the selector to give up
+    def exhausted(self, u, v, exclude=()):
+        raise HelperExhaustion("no helper")
+
+    monkeypatch.setattr(Network, "find_helper", exhausted)
+    pairs = [(0, v) for v in (3, 4, 5)] + [(1, v) for v in (6, 7, 8)] + [(0, 1)]
+    with pytest.raises(StaticBuildError, match=r"no helper available for static pair \(0, 1\)"):
+        build_static_dan(Trace.from_pairs(16, pairs), NetParams.make(16, 0.5))
 
 
 # -- static replay ------------------------------------------------------------------

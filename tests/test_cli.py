@@ -104,6 +104,31 @@ def test_missing_trace_file_exits_two(tmp_path):
     assert run_cli("run", "--trace", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "entropy"])
+@pytest.mark.parametrize("body, words", [
+    ("#n=4\n", "no requests"),
+    ("#n=4\n1\n", "line 2"),
+    ("#n=abc\n1,2\n", "abc"),
+    ("#n=4\n2,2\n", "self-requests"),
+    ("#n=4\n0,9\n", "outside"),
+], ids=["no-rows", "one-field", "bad-header", "self-request", "endpoint-out-of-range"])
+def test_bad_trace_file_exits_two(tmp_path, capsys, command, body, words):
+    trace_path = tmp_path / "bad.csv"
+    trace_path.write_text(body)
+    assert run_cli(command, "--trace", str(trace_path), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and words in err[0]
+
+
+def test_run_without_reset_has_lower_bound_as_window_entropy(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("run", "--workload", "torus", "--n", "16", "--m", "400", "--c", "4", "--out", str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["reset_count"] == 0 and len(summary["windows"]) == 1
+    # one window spanning the whole trace: the same demand entropy, base 6 theta
+    assert summary["windows"][0]["h_con"] == summary["lower_bound"]
+
+
 def test_entropy_command(tmp_path):
     out = tmp_path / "out"
     code = run_cli(
@@ -149,6 +174,24 @@ def test_validate_clean_and_corrupted_snapshots(tmp_path):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
     assert run_cli("validate", str(garbled)) == 2
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda snap: snap["edges"][0].__setitem__(1, 99),
+    lambda snap: snap["edges"][0].__setitem__(0, -1),  # would alias node 15
+    lambda snap: snap["nodes"][3]["S"].append(40),
+], ids=["edge-endpoint-99", "edge-endpoint-negative", "S-entry-40"])
+def test_validate_rejects_out_of_range_node_ids(tmp_path, capsys, corrupt):
+    out = tmp_path / "out"
+    assert run_cli("run", "--workload", "star", "--n", "16", "--m", "300", "--c", "1", "--out", str(out)) == 0
+    snap = json.loads((out / "snapshot.json").read_text())
+    corrupt(snap)
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(snap))
+    capsys.readouterr()
+    assert run_cli("validate", str(bad_path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cannot load snapshot:") and "outside [0, 16)" in err[0]
 
 
 def test_debug_env_enables_per_request_sweeps(tmp_path, monkeypatch):

@@ -64,7 +64,7 @@ def test_route_down_comparison_walk():
     for k in (2, 1, 3):
         t.insert(k, splay=False)  # root 2 with children 1 and 3
     res = t.route_down(3)
-    assert res.hit and res.path == [2, 3] and res.hops == 2
+    assert res.hit and res.path == [2, 3]
 
 
 def test_route_down_virtual_root_single_hop():
@@ -74,16 +74,16 @@ def test_route_down_virtual_root_single_hop():
         t.adjust(k)                  # push 3 deep again
     assert t.depth(3) > 1
     res = t.route_down(3)
-    assert res.hit and res.hops == 1 and res.path == [3]
+    assert res.hit and res.path == [3]
 
 
 def test_route_down_miss_reports_anchor():
     t = make_tree([1, 2, 3, 4, 5], splay=False)  # right spine rooted at 1
     res = t.route_down(7)
     assert not res.hit and res.anchor_key == 5
-    assert res.hops == 5  # walked the whole spine
+    assert len(res.path) == 5  # walked the whole spine
     empty = EgoTree(OWNER).route_down(1)
-    assert not empty.hit and empty.anchor_key is None and empty.hops == 0
+    assert not empty.hit and empty.anchor_key is None and empty.path == []
 
 
 # -- route_up --------------------------------------------------------------------
@@ -92,13 +92,13 @@ def test_route_down_miss_reports_anchor():
 def test_route_up_root_is_one_hop():
     t = make_tree([4])
     res = t.route_up(4)
-    assert res.hops == 1 and res.path == [OWNER]
+    assert res.path == [OWNER]
 
 
 def test_route_up_depth_two():
     t = make_tree([1, 2, 3], splay=False)  # spine 1 -> 2 -> 3
     res = t.route_up(3)
-    assert res.hops == 3 and res.path == [2, 1, OWNER]
+    assert res.path == [2, 1, OWNER]
 
 
 def test_route_up_virtual_root_overrides_depth():
@@ -109,13 +109,13 @@ def test_route_up_virtual_root_overrides_depth():
     assert 4 in t.virtual_roots()
     assert t.depth(4) >= 2
     res = t.route_up(4)
-    assert res.hops == 1 and res.path == [OWNER]
+    assert res.path == [OWNER]
 
 
 def test_route_symmetry_outside_virtual_roots():
     t = make_tree([8, 3, 11, 1, 6, 13, 9], splay=False)
     for k in (1, 6, 13, 9):
-        assert t.route_down(k).hops == t.route_up(k).hops
+        assert len(t.route_down(k).path) == len(t.route_up(k).path)
 
 
 # -- adjust ----------------------------------------------------------------------
@@ -160,36 +160,6 @@ def test_adjust_rotations_equal_prior_depth():
         d = t.depth(k)
         assert t.adjust(k).rotations == d
         assert t.root.key == k
-
-
-# -- remove ----------------------------------------------------------------------
-
-
-def test_remove_singleton():
-    t = make_tree([7])
-    cost = t.remove(7)
-    assert t.size == 0 and t.root is None
-    assert cost.link_changes == 1
-
-
-def test_remove_leaf_keeps_order():
-    t = make_tree([2, 1, 3], splay=False)
-    t.remove(3)
-    assert t.keys_inorder() == [1, 2]
-    assert not t.check_structure()
-
-
-def test_remove_missing_key():
-    t = make_tree([1, 2])
-    with pytest.raises(KeyError):
-        t.remove(5)
-
-
-def test_remove_inner_key_joins_subtrees():
-    t = make_tree([5, 2, 8, 1, 3, 7, 9])
-    t.remove(5)
-    assert t.keys_inorder() == [1, 2, 3, 7, 8, 9]
-    assert not t.check_structure()
 
 
 # -- replace_occupant ---------------------------------------------------------------
@@ -247,16 +217,6 @@ def test_build_static_rejects_empty():
         build_static(OWNER, {})
 
 
-def test_static_tree_is_fixed():
-    t = build_static(OWNER, {1: 0.5, 2: 0.5})
-    with pytest.raises(RuntimeError):
-        t.adjust(1)
-    with pytest.raises(RuntimeError):
-        t.insert(3)
-    with pytest.raises(RuntimeError):
-        t.remove(1)
-
-
 @given(st.dictionaries(st.integers(0, 50), st.floats(0.01, 5.0), min_size=1, max_size=30))
 @settings(max_examples=150, deadline=None)
 def test_build_static_entropy_depth_bound(weights):
@@ -301,7 +261,7 @@ def test_virtual_root_admission_guard():
 
 
 ops = st.lists(
-    st.tuples(st.sampled_from(["insert", "adjust", "remove", "replace"]), st.integers(0, 20)),
+    st.tuples(st.sampled_from(["insert", "adjust", "replace"]), st.integers(0, 20)),
     min_size=1,
     max_size=80,
 )
@@ -317,8 +277,6 @@ def test_edge_log_matches_structure(op_list, vr_cap):
             cost = t.insert(key)
         elif op == "adjust" and key in t:
             cost = t.adjust(key)
-        elif op == "remove" and key in t:
-            cost = t.remove(key)
         elif op == "replace" and key in t:
             cost = t.replace_occupant(key, 1000 + key)
         else:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from renet.ego_tree import EgoTree
 from renet.metrics import average_cost
-from renet.network import InvariantError, NetParams, Network, new_network, replay_trace
+from renet.network import InvariantError, NetParams, Network, replay_trace
 from renet.trace import ProductDist, StarZipf, Torus, generate, zipf_weights
 
 
@@ -54,7 +54,7 @@ def test_params_reject_inconsistent_fields():
 
 
 def test_new_network_is_empty():
-    net = new_network(NetParams.make(8, 1))
+    net = Network(NetParams.make(8, 1))
     assert not net.edges
     assert all(not s.large and not s.working for s in net.nodes)
     assert net.validate_invariants() == []

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from renet.entropy import entropy, normalized
 from renet.trace import (
-    DemandGraph,
     ProductDist,
     RoundRobinGrids,
     SparsityParams,
@@ -15,7 +14,6 @@ from renet.trace import (
     Torus,
     Trace,
     UniformPairs,
-    build_demand_graph,
     generate,
     read_trace_csv,
     sparsity_check,
@@ -93,31 +91,7 @@ def test_sparsity_monotonicity(pairs, c, delta):
         assert sparsity_check(tr, SparsityParams(c, max(1, delta // 2))).ok
 
 
-# -- demand graphs ---------------------------------------------------------------
-
-
-def test_demand_graph_counting():
-    tr = Trace.from_pairs(4, [(1, 2), (1, 2), (1, 3), (2, 1)])
-    g = build_demand_graph(tr)
-    assert g.edges == {(1, 2): 0.5, (1, 3): 0.25, (2, 1): 0.25}
-    assert g.nodes == frozenset({1, 2, 3})
-
-
-def test_demand_graph_single_request():
-    g = build_demand_graph(Trace.from_pairs(4, [(1, 2)]))
-    assert g.edges == {(1, 2): 1.0}
-
-
-def test_demand_graph_subrange():
-    tr = Trace.from_pairs(8, [(1, 2), (3, 4), (5, 6)])
-    g = build_demand_graph(tr, 1, 2)
-    assert g.edges == {(3, 4): 1.0}
-
-
-def test_demand_graph_empty_range_rejected():
-    tr = Trace.from_pairs(4, [(1, 2)])
-    with pytest.raises(ValueError):
-        build_demand_graph(tr, 1, 1)
+# -- demand weights --------------------------------------------------------------
 
 
 @given(
@@ -129,8 +103,8 @@ def test_demand_graph_empty_range_rejected():
 )
 @settings(max_examples=150, deadline=None)
 def test_demand_graph_weights_sum_to_one(pairs):
-    g = build_demand_graph(Trace.from_pairs(8, pairs))
-    assert sum(g.edges.values()) == pytest.approx(1.0, abs=1e-9)
+    joint = normalized(Trace.from_pairs(8, pairs).pair_counts())
+    assert sum(joint.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 # -- generators -------------------------------------------------------------------
