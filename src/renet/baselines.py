@@ -171,7 +171,7 @@ def build_static_dan(trace: Trace, params: NetParams) -> StaticDan:
             x = net.find_helper(a, b)
         except HelperExhaustion:
             raise StaticBuildError(f"no helper available for static pair ({a}, {b})") from None
-        net.nodes[x].helping.add((a, b))
+        net.assign_helper(x, (a, b))
         helpers[(a, b)] = x
 
     trees: dict[int, EgoTree] = {}

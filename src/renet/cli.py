@@ -9,7 +9,8 @@ Commands
 
 Configuration is a flat-key JSON file, overridable by `--key value` flags;
 all randomness flows from the single `--seed`.  Exit codes: 0 success,
-1 invariant or acceptance failure, 2 usage/config errors.  Setting
+1 invariant or acceptance failure, 2 usage/config errors (including a
+trace too dense for the helper pool).  Setting
 RENET_DEBUG_INVARIANTS=1 turns on per-request invariant sweeps.
 """
 
@@ -34,7 +35,7 @@ from .baselines import (
 )
 from .entropy import windowed_entropy_report, write_entropy_csv
 from .metrics import average_cost, rho_estimate, window_report, write_ledger_csv, write_windows_csv
-from .network import NetParams, Network, replay_trace
+from .network import HelperExhaustion, NetParams, Network, replay_trace
 from .trace import (
     ProductDist,
     RoundRobinGrids,
@@ -160,7 +161,10 @@ def run_cell(cfg: ExperimentConfig, trace: Trace, params: NetParams, outdir: Pat
 
     net = Network(params)
     net.debug_checks = os.environ.get(DEBUG_ENV, "") == "1"
-    ledger = replay_trace(net, trace)
+    try:
+        ledger = replay_trace(net, trace)
+    except HelperExhaustion as exc:  # the trace is too dense, not a broken invariant
+        raise ConfigError(f"replay ran out of helpers: {exc}") from exc
     violations = net.validate_invariants()
     windows = window_report(ledger, trace, base=params.delta_cap)
 

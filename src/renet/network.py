@@ -19,6 +19,9 @@ Trees write their link changes straight into the network's edge store
 (`edges`, `degree`); the degree cap 6θ is enforced once per finished tree
 operation.
 
+Helpers are picked from an index of small nodes bucketed by helper load,
+rebuilt lazily after each reset (see `find_helper`).
+
 Cost accounting, fixed here and reported as-is: a route addition costs 2D of
 control traffic (notify + instruct) plus D per helper engaged; a conversion
 to large costs D per partner moved plus D per helper engaged; a reset costs
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from heapq import heappop, heappush
 from itertools import compress, count
 from operator import ne
 from dataclasses import asdict, dataclass
@@ -164,6 +168,7 @@ class Network:
         self.reset_count = 0
         self.path_failures = 0
         self.debug_checks = False
+        self._helper_levels: Optional[list[list[int]]] = None  # see find_helper
 
     # -- tree operations and the degree cap ----------------------------------
 
@@ -347,7 +352,7 @@ class Network:
             ctx.coord += p.D
             self._tree_insert(ctx, u, v, x, no_splay_tree)
             self._tree_insert(ctx, v, u, x, no_splay_tree)
-            self.nodes[x].helping.add(edge_key(u, v))
+            self.assign_helper(x, edge_key(u, v))
             if ctx.debug:
                 ctx.touched_nodes.add(x)
 
@@ -387,7 +392,7 @@ class Network:
             for owner, key in ((a, b), (b, a)):
                 t = self.nodes[owner].tree
                 self._settle(ctx, t, t.replace_occupant(key, x2))
-            self.nodes[x2].helping.add(pair)
+            self.assign_helper(x2, pair)
             if ctx.debug:
                 ctx.touched_nodes.add(x2)
         su.helping.clear()
@@ -416,43 +421,73 @@ class Network:
                     su.trees_in.discard(v)
                 else:
                     self._tree_insert(ctx, v, u, x, no_splay_tree)
-                self.nodes[x].helping.add(edge_key(u, v))
+                self.assign_helper(x, edge_key(u, v))
                 if ctx.debug:
                     ctx.touched_nodes.add(x)
         if su.S or su.trees_in:
             raise InvariantError(f"make_large({u}) left stale table entries")
 
     def find_helper(self, u: int, v: int, exclude: Iterable[int] = ()) -> int:
-        """Least-loaded small node with port room, ties to the smallest id."""
+        """Least-loaded small node with port room, ties to the smallest id.
+
+        Small nodes are indexed by helper load: one min-heap of ids per load
+        level 0..floor(2c)-1, a node at full load sitting in none.  Between
+        resets a small node's load only rises and a large node stays large,
+        so an entry whose node turned large or whose load left its level is
+        stale for good and is popped when met.  The index is built from the
+        node tables on the first call after a reset (or after loading
+        tables directly) and kept current by `assign_helper`; `_do_reset`
+        drops it.  Banned nodes and nodes without port room are popped,
+        passed over, and pushed back (the port check cannot bind for a small
+        node, since 3θ + 6·floor(2c) <= 6θ, but it stays a check).
+        """
         p = self.params
-        if not (self.nodes[u].large and self.nodes[v].large):
+        nodes = self.nodes
+        if not (nodes[u].large and nodes[v].large):
             raise ValueError("helpers relay only large-large pairs")
-        banned = set(exclude)
-        banned.add(u)
-        banned.add(v)
-        best = -1
-        best_load = None
-        for x in range(p.n):
-            if x in banned:
-                continue
-            s = self.nodes[x]
-            if s.large:
-                continue
-            load = len(s.helping)
-            if load + 1 > 2 * p.c:
-                continue
-            if len(s.S) + 3 * len(s.trees_in) + 6 * (load + 1) > p.delta_cap:
-                continue
-            if best_load is None or load < best_load:
-                best, best_load = x, load
-                if load == 0:
+        levels = self._helper_levels
+        if levels is None:
+            levels = self._helper_levels = self._build_helper_levels()
+        banned = {u, v, *exclude}
+        for load, heap in enumerate(levels):
+            passed = []
+            best = -1
+            while heap:
+                x = heap[0]
+                s = nodes[x]
+                if s.large or len(s.helping) != load:
+                    heappop(heap)
+                elif x in banned or len(s.S) + 3 * len(s.trees_in) + 6 * (load + 1) > p.delta_cap:
+                    passed.append(heappop(heap))
+                else:
+                    best = x
                     break
-        if best < 0:
-            raise HelperExhaustion(
-                f"no helper available for ({u}, {v}); total_ws={self.total_ws}, "
-                f"threshold={p.reset_threshold}"
-            )
-        return best
+            for x in passed:
+                heappush(heap, x)
+            if best >= 0:
+                return best
+        raise HelperExhaustion(
+            f"no helper available for ({u}, {v}); total_ws={self.total_ws}, "
+            f"threshold={p.reset_threshold}"
+        )
+
+    def _build_helper_levels(self) -> list[list[int]]:
+        levels: list[list[int]] = [[] for _ in range(math.floor(2 * self.params.c))]
+        for s in self.nodes:  # ids ascend, so every level is already a heap
+            if not s.large and len(s.helping) < len(levels):
+                levels[len(s.helping)].append(s.id)
+        return levels
+
+    def assign_helper(self, x: int, pair: tuple[int, int]) -> None:
+        """Give small node x the duty of relaying `pair`.  Every duty is
+        assigned here, so the load index stays exact; duties are cleared
+        only when a node turns large or at a reset, which the index allows
+        for."""
+        helping = self.nodes[x].helping
+        helping.add(pair)
+        levels = self._helper_levels
+        if levels is not None and len(helping) < len(levels):
+            heappush(levels[len(helping)], x)
 
     def reset(self) -> int:
         """Clear all working sets and tables; every node returns to small."""
@@ -471,6 +506,7 @@ class Network:
         # cleared in place: live trees write into these same objects
         self.edges.clear()
         self.degree[:] = [0] * self.params.n
+        self._helper_levels = None
         self.total_ws = 0
         self.reset_count += 1
         ctx.reset_fired = True

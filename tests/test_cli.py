@@ -3,6 +3,7 @@ import json
 import pytest
 
 from renet.cli import ExperimentConfig, main
+from renet.network import HelperExhaustion, Network
 from renet.trace import Torus, generate, write_trace_csv
 
 
@@ -98,6 +99,21 @@ def test_bad_run_config_exits_two(tmp_path, capsys, args, words):
     assert run_cli("run", *args, "--m", "100", "--c", "4", "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and words in err[0]
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--workload", "product", "--n", "64"],
+    ["compare", "--n-list", "64", "--workloads", "product"],
+])
+def test_helper_exhaustion_exits_two(tmp_path, monkeypatch, capsys, command):
+    # no natural trigger is known, so make the selector give up
+    def exhausted(self, u, v, exclude=()):
+        raise HelperExhaustion(f"no helper available for ({u}, {v})")
+
+    monkeypatch.setattr(Network, "find_helper", exhausted)
+    assert run_cli(*command, "--m", "2000", "--c", "0.5", "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: replay ran out of helpers: no helper available")
 
 
 def test_missing_trace_file_exits_two(tmp_path):

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from renet.ego_tree import EgoTree
 from renet.metrics import average_cost
-from renet.network import InvariantError, NetParams, Network, replay_trace
-from renet.trace import ProductDist, StarZipf, Torus, generate, zipf_weights
+from renet.network import HelperExhaustion, InvariantError, NetParams, Network, replay_trace
+from renet.trace import ProductDist, StarZipf, Torus, Trace, UniformPairs, generate, zipf_weights
 
 
 def fresh(n, c, **kw):
@@ -20,6 +20,12 @@ def grow_large(net, u, partners):
         net.serve_request(u, v)
     assert net.nodes[u].large
     return net.nodes[u].tree
+
+
+def product_zipf(n, m):
+    # the `renet run --workload product` trace: Zipf sources, reversed Zipf destinations
+    px = tuple(zipf_weights(n, 1.0).tolist())
+    return ProductDist(n, m, px, tuple(reversed(px)))
 
 
 # -- parameters ----------------------------------------------------------------
@@ -154,6 +160,111 @@ def test_find_helper_requires_large_endpoints():
     net = fresh(8, 1)
     with pytest.raises(ValueError):
         net.find_helper(0, 1)
+
+
+def scan_for_helper(net, u, v, exclude=()):
+    """The linear scan `find_helper` used before its load index: least-loaded
+    small node with port room, ties to the smallest id; None if there is none."""
+    p = net.params
+    banned = set(exclude)
+    banned.add(u)
+    banned.add(v)
+    best = -1
+    best_load = None
+    for x in range(p.n):
+        if x in banned:
+            continue
+        s = net.nodes[x]
+        if s.large:
+            continue
+        load = len(s.helping)
+        if load + 1 > 2 * p.c:
+            continue
+        if len(s.S) + 3 * len(s.trees_in) + 6 * (load + 1) > p.delta_cap:
+            continue
+        if best_load is None or load < best_load:
+            best, best_load = x, load
+            if load == 0:
+                break
+    return None if best < 0 else best
+
+
+def test_find_helper_matches_the_linear_scan(monkeypatch):
+    calls = []
+    find = Network.find_helper
+
+    def checked(net, u, v, exclude=()):
+        exclude = tuple(exclude)
+        want = scan_for_helper(net, u, v, exclude)
+        try:
+            got = find(net, u, v, exclude)
+        except HelperExhaustion:
+            got = None
+        assert got == want, f"find_helper({u}, {v}, exclude={exclude}) = {got}, the scan picks {want}"
+        calls.append(exclude)
+        if got is None:
+            raise HelperExhaustion(f"no helper available for ({u}, {v})")
+        return got
+
+    sheds = []
+    evict = EgoTree.evict_virtual_root
+
+    def spy(tree, key):
+        sheds.append((tree.owner, key))
+        return evict(tree, key)
+
+    monkeypatch.setattr(Network, "find_helper", checked)
+    monkeypatch.setattr(EgoTree, "evict_virtual_root", spy)
+    resets = 0
+    for workload, c, seed in [
+        (product_zipf(256, 5120), 0.5, 3),        # sheds virtual roots
+        (UniformPairs(144, 20 * 144), 0.75, 1),
+        (product_zipf(256, 20 * 256), 1, 1),     # loads up to 2 per helper
+    ]:
+        net = Network(NetParams.make(workload.n, c))
+        net.debug_checks = True
+        replay_trace(net, generate(workload, seed))
+        assert net.validate_invariants() == []
+        resets += net.reset_count
+    assert len(calls) > 2000
+    assert any(calls), "no conversion shed a helper duty"
+    assert sheds and resets > 50
+
+
+def test_find_helper_exhausted_when_every_small_node_is_full():
+    net = Network(NetParams.make(8, 1))  # helper load <= 2
+    for x in (0, 1, 2):
+        net.nodes[x].large = True
+    assert net.find_helper(0, 1) == 3
+    for x in range(3, 8):  # through the index, which now exists
+        net.assign_helper(x, (0, 1))
+        net.assign_helper(x, (0, 2))
+    with pytest.raises(HelperExhaustion, match=r"no helper available for \(0, 1\); total_ws=0, threshold=16"):
+        net.find_helper(0, 1)
+    # an index built from full tables finds nothing either
+    clone = Network.from_snapshot(net.snapshot())
+    with pytest.raises(HelperExhaustion, match=r"no helper available for \(0, 1\)"):
+        clone.find_helper(0, 1)
+
+
+def test_find_helper_exhausted_when_every_other_node_is_large():
+    net = Network(NetParams.make(6, 0.5))
+    for x in (0, 1, 2, 3, 5):
+        net.nodes[x].large = True
+    assert net.find_helper(0, 1) == 4
+    with pytest.raises(HelperExhaustion, match=r"no helper available for \(0, 1\); total_ws=0, threshold=6"):
+        net.find_helper(0, 1, exclude=(4,))
+    assert net.find_helper(0, 1) == 4  # a banned node is passed over, not dropped
+
+
+def test_find_helper_passes_over_a_node_without_port_room():
+    # unreachable in a valid state (3θ + 6·floor(2c) <= 6θ), so stuff a table
+    net = Network(NetParams.make(12, 0.5))  # degree cap 12
+    net.nodes[0].large = net.nodes[1].large = True
+    net.nodes[2].S = set(range(3, 10))     # 7 + 6 ports for one more duty > 12
+    assert net.find_helper(0, 1) == 3
+    net.nodes[2].S.clear()
+    assert net.find_helper(0, 1) == 2
 
 
 # -- make_large ----------------------------------------------------------------------
@@ -324,6 +435,30 @@ def test_snapshot_roundtrip_after_workout():
     clone = Network.from_snapshot(json.loads(json.dumps(snap)))
     assert clone.validate_invariants() == []
     assert clone.snapshot() == snap
+
+
+def test_replay_resumes_from_a_snapshot(monkeypatch):
+    tr = generate(product_zipf(256, 5120), seed=3)
+    half = len(tr) // 2
+    whole = Network(NetParams.make(256, 0.5))
+    ledger = replay_trace(whole, tr)
+    net = Network(NetParams.make(256, 0.5))
+    head = replay_trace(net, Trace(tr.n, tr.src[:half], tr.dst[:half]))
+    resumed = Network.from_snapshot(json.loads(json.dumps(net.snapshot())))
+    picks = []
+    find = Network.find_helper
+
+    def spy(self, u, v, exclude=()):
+        picks.append(self.reset_count)
+        return find(self, u, v, exclude)
+
+    monkeypatch.setattr(Network, "find_helper", spy)
+    tail = replay_trace(resumed, Trace(tr.n, tr.src[half:], tr.dst[half:]))
+    # helpers picked before the next reset come from an index built from the loaded tables
+    assert picks.count(net.reset_count) > 0
+    for field in ("hops", "adjust", "coord", "reset"):
+        assert getattr(head, field) + getattr(tail, field) == getattr(ledger, field)
+    assert resumed.snapshot() == whole.snapshot()
 
 
 def test_deterministic_replay():
