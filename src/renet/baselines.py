@@ -19,14 +19,13 @@ Replay over it incurs zero adjustment cost.  Its lower bound is the same
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ego_tree import EgoTree, build_static, edge_key
 from .entropy import demand_entropy, normalized
-from .network import HelperExhaustion, NetParams, Network
+from .network import HelperExhaustion, NetParams, Network, degrees
 from .trace import Trace
 
 
@@ -121,16 +120,6 @@ class StaticDan:
     helpers: dict         # (a, b) with a < b -> helper node
     degree: dict = field(default_factory=dict)
 
-    def _edges(self) -> Counter:
-        edges: Counter = Counter()
-        for u in sorted(self.direct):
-            for v in self.direct[u]:
-                if u < v:
-                    edges[edge_key(u, v)] += 1
-        for w in sorted(self.trees):
-            edges.update(self.trees[w].edges())
-        return edges
-
 
 def build_static_dan(trace: Trace, params: NetParams) -> StaticDan:
     """Assemble the clairvoyant baseline; fails if the demand is too dense."""
@@ -187,17 +176,15 @@ def build_static_dan(trace: Trace, params: NetParams) -> StaticDan:
         tree = build_static(w, dist, occupants)
         trees[w] = tree
         depths[w] = {k: tree.depth(k) for k in tree.keys_inorder()}
+        net.nodes[w].tree = tree
 
-    dan = StaticDan(params=params, large=large, direct=direct, trees=trees, depths=depths, helpers=helpers)
-    degree: Counter = Counter()
-    for (a, b), cnt in dan._edges().items():
-        degree[a] += cnt  # a self-loop counts twice
-        degree[b] += cnt
-    over = {x: d for x, d in degree.items() if d > params.delta_cap}
+    # the scratch network now holds the static links: direct ones and the trees
+    degree = degrees(net.edges, params.n)
+    over = [x for x, d in enumerate(degree) if d > params.delta_cap]
     if over:
-        raise StaticBuildError(f"static build violates the degree cap at {sorted(over)[:8]}")
-    dan.degree = dict(degree)
-    return dan
+        raise StaticBuildError(f"static build violates the degree cap at {over[:8]}")
+    return StaticDan(params=params, large=large, direct=direct, trees=trees, depths=depths, helpers=helpers,
+                     degree={x: d for x, d in enumerate(degree) if d})
 
 
 def stat_cost(dan: StaticDan, trace: Trace) -> float:

@@ -5,7 +5,8 @@ Commands
             ledger.csv, windows.csv, snapshot.json and summary.json
   compare   sweep (n, workload) cells and tabulate averages vs the baselines
   entropy   windowed entropy report CSV for a workload or trace file
-  validate  load a snapshot.json and re-check every structural invariant
+  validate  load a snapshot.json, re-check every structural invariant and
+            check its edge list against the structure
 
 Configuration is a flat-key JSON file, overridable by `--key value` flags;
 all randomness flows from the single `--seed`.  Exit codes: 0 success,
@@ -22,6 +23,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +35,7 @@ from .baselines import (
     stat_cost,
     static_lower_bound,
 )
+from .ego_tree import edge_key
 from .entropy import windowed_entropy_report, write_entropy_csv
 from .metrics import average_cost, rho_estimate, window_report, write_ledger_csv, write_windows_csv
 from .network import HelperExhaustion, NetParams, Network, replay_trace
@@ -310,10 +313,18 @@ def cmd_validate(snapshot_path: str) -> int:
         with open(snapshot_path) as fh:
             snap = json.load(fh)
         net = Network.from_snapshot(snap)
+        listed: Counter = Counter()
+        for a, b, cnt in snap["edges"]:
+            listed[edge_key(a, b)] += cnt
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"cannot load snapshot: {exc}", file=sys.stderr)
         return 2
     violations = net.validate_invariants()
+    # the structure is the only record of the links; the listed edges must match it
+    derived = net.edges
+    differ = sorted(k for k in listed.keys() | derived.keys() if listed[k] != derived[k])
+    if differ:
+        violations.append(f"snapshot edge list differs from the structure on {differ[:8]}")
     if violations:
         for line in violations:
             print(f"violation: {line}")

@@ -6,11 +6,16 @@ position (the partner itself, or a helper relaying for a large partner).
 The owner is linked to the current root and to a bounded LRU set of
 "virtual roots" that stay at distance one even after later splays.
 
-Every mutation reports a TreeCost and writes each physical link change (in
-occupant space) straight into an edge store: edge multiplicities plus node
-degrees.  A tree in a network shares the network's store; a standalone tree
-keeps its own.  Nodes pushed above the degree cap are handed out by
-`take_edge_changes` once the operation has finished.
+The tree's physical links (in occupant space) are read off its structure,
+by `edges()`: owner to root, each entry to its children, owner to each
+virtual root.  Nothing else records them.  Every mutation reports a
+TreeCost and keeps the node degrees exact as links come and go; a tree in a
+network shares the network's degree list, a standalone tree keeps its own.
+Nodes pushed above the degree cap are handed out by `take_edge_changes`
+once the operation has finished.
+
+Routes return the entries they walked, so a caller can check every hop
+against the parent pointers instead of taking the walk's word for it.
 """
 
 from __future__ import annotations
@@ -41,24 +46,6 @@ def edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def link(edges: dict, degree, a: int, b: int) -> None:
-    """Add one a-b link to an edge store: the multiset and both degrees."""
-    k = (a, b) if a <= b else (b, a)
-    edges[k] = edges.get(k, 0) + 1
-    degree[a] += 1
-    degree[b] += 1
-
-
-def unlink(edges: dict, degree, a: int, b: int) -> None:
-    """Remove one a-b link from an edge store; KeyError if it holds none."""
-    k = (a, b) if a <= b else (b, a)
-    left = edges.pop(k) - 1
-    if left:
-        edges[k] = left
-    degree[a] -= 1
-    degree[b] -= 1
-
-
 @dataclass
 class TreeCost:
     link_changes: int = 0
@@ -70,15 +57,27 @@ class DownRoute:
     """Result of a root-to-key search walk."""
 
     hit: bool
-    path: list  # occupants visited, root (or virtual root) first
-    anchor_key: Optional[int]  # on a miss, the key where the search fell off
+    # entries visited, root (or virtual root) first; on a miss the last one
+    # is the anchor, whose missing child the key would occupy
+    entries: list
+
+    @property
+    def path(self) -> list:
+        """Occupants visited, root (or virtual root) first."""
+        return [e.occupant for e in self.entries]
 
 
 @dataclass(frozen=True)
 class UpRoute:
     """Result of a key-to-owner parent walk."""
 
-    path: list  # occupants of the parent chain, ending with the owner
+    entries: list  # the start entry, then its ancestors up to the root
+    owner: int
+
+    @property
+    def path(self) -> list:
+        """Occupants of the parent chain, ending with the owner."""
+        return [e.occupant for e in self.entries[1:]] + [self.owner]
 
 
 class _Entry:
@@ -102,7 +101,6 @@ class EgoTree:
         rotation_accounting: str = UNIT,
         vr_policy: str = "lru",
         vr_admit: Optional[Callable[[int], bool]] = None,
-        edge_counts: Optional[dict] = None,
         degree=None,
         degree_cap: int = sys.maxsize,
     ):
@@ -117,8 +115,7 @@ class EgoTree:
         self.vr: "OrderedDict[int, None]" = OrderedDict()  # oldest first
         self._by_key: dict[int, _Entry] = {}
         self._rot_lc = _ROTATION_LINK_COST[rotation_accounting]
-        # the edge store; degree is a list by node id in a network, else a Counter
-        self.edge_counts: dict[tuple[int, int], int] = {} if edge_counts is None else edge_counts
+        # a list by node id in a network, else a Counter
         self.degree = Counter() if degree is None else degree
         self._cap = degree_cap
         self._over: list[int] = []
@@ -126,19 +123,23 @@ class EgoTree:
     # -- bookkeeping -------------------------------------------------------
 
     def _link(self, a: int, b: int) -> None:
-        link(self.edge_counts, self.degree, a, b)
+        degree = self.degree
+        degree[a] += 1
+        degree[b] += 1
         for x in (a, b):
-            if self.degree[x] > self._cap:
+            if degree[x] > self._cap:
                 self._over.append(x)
 
     def _unlink(self, a: int, b: int) -> None:
-        unlink(self.edge_counts, self.degree, a, b)
+        self.degree[a] -= 1
+        self.degree[b] -= 1
 
     def take_edge_changes(self) -> list[int]:
         """Nodes that link changes pushed above the degree cap since the last call.
 
-        The changes themselves are already in the edge store.  A node may be
-        listed twice, or be back under the cap by the time it is read.
+        The links themselves are in the structure and the degrees already
+        count them.  A node may be listed twice, or be back under the cap by
+        the time it is read.
         """
         over = self._over
         self._over = []
@@ -254,21 +255,11 @@ class EgoTree:
     # -- splay machinery ----------------------------------------------------
 
     def _rotate_up(self, x: _Entry) -> None:
-        # Writes the store inline: this runs for every rotation of every splay.
+        # The p-x link flips orientation but persists, and x trades its inner
+        # child b for the node above while p does the reverse; so degrees
+        # move only when b is missing: p loses a link and x gains one.
         p = x.parent
         g = p.parent
-        above = g.occupant if g is not None else self.owner
-        po = p.occupant
-        xo = x.occupant
-        edges = self.edge_counts
-        # the p-x edge flips orientation but persists; only the links to the
-        # node above and to x's inner child actually change
-        k = (above, po) if above <= po else (po, above)
-        left = edges.pop(k) - 1
-        if left:
-            edges[k] = left
-        k = (above, xo) if above <= xo else (xo, above)
-        edges[k] = edges.get(k, 0) + 1
         if x is p.left:
             b = x.right
             p.left = b
@@ -279,17 +270,10 @@ class EgoTree:
             x.left = p
         if b is not None:
             b.parent = p
-            bo = b.occupant
-            k = (xo, bo) if xo <= bo else (bo, xo)
-            left = edges.pop(k) - 1
-            if left:
-                edges[k] = left
-            k = (po, bo) if po <= bo else (bo, po)
-            edges[k] = edges.get(k, 0) + 1
-            # x trades b for the node above and p the reverse: no degree moves
         else:
             degree = self.degree
-            degree[po] -= 1
+            degree[p.occupant] -= 1
+            xo = x.occupant
             degree[xo] += 1
             if degree[xo] > self._cap:
                 self._over.append(xo)
@@ -369,35 +353,34 @@ class EgoTree:
         stops at the entry whose missing child the key would occupy.
         """
         if self.root is None:
-            return DownRoute(False, [], None)
+            return DownRoute(False, [])
         if key in self.vr:
             if self.vr_policy == "lru":
                 self.vr.move_to_end(key)
-            return DownRoute(True, [self._by_key[key].occupant], key)
-        path: list[int] = []
+            return DownRoute(True, [self._by_key[key]])
+        entries: list[_Entry] = []
         e = self.root
         while True:
-            path.append(e.occupant)
+            entries.append(e)
             if key == e.key:
-                return DownRoute(True, path, key)
+                return DownRoute(True, entries)
             nxt = e.left if key < e.key else e.right
             if nxt is None:
-                return DownRoute(False, path, e.key)
+                return DownRoute(False, entries)
             e = nxt
 
     def route_up(self, from_key: int) -> UpRoute:
         """Parent walk to the root plus the root-to-owner hop."""
         e = self._by_key[from_key]
+        entries = [e]
         if from_key in self.vr:
             if self.vr_policy == "lru":
                 self.vr.move_to_end(from_key)
-            return UpRoute([self.owner])
-        path: list[int] = []
+            return UpRoute(entries, self.owner)
         while e.parent is not None:
             e = e.parent
-            path.append(e.occupant)
-        path.append(self.owner)
-        return UpRoute(path)
+            entries.append(e)
+        return UpRoute(entries, self.owner)
 
     def adjust(self, key: int) -> TreeCost:
         """Splay `key` to the root and refresh the virtual-root set."""

@@ -12,12 +12,18 @@ own table, forwarders walk tree links, the destination splays the tree that
 delivered the packet, and a central coordinator handles route additions,
 small-to-large conversions, helper assignment, and full resets once the
 working sets fill up.  Every forwarding decision reads only the deciding
-node's own state; each hop is validated against the live physical edge set
-at the moment it is taken.
+node's own state.
 
-Trees write their link changes straight into the network's edge store
-(`edges`, `degree`); the degree cap 6θ is enforced once per finished tree
-operation.
+The trees' structure and the S sets are the only record of the physical
+links; `edges` derives the multiset from them on demand.  Node degrees are
+kept exact as links change, and the degree cap 6θ is enforced once per
+finished tree operation.  Each hop is checked against that structure when
+it is taken, never against the walk's own report: a direct hop needs the
+link in S on both ends; a hop down a tree needs the next entry's parent to
+be the entry just left (the first entry must be the root or a virtual
+root); a hop up needs the entry just left to be a child of the next one
+(the root or a virtual root, for the hop to the owner).  A packet must end
+at its destination.
 
 Helpers are picked from an index of small nodes bucketed by helper load,
 rebuilt lazily after each reset (see `find_helper`).
@@ -38,7 +44,7 @@ from operator import ne
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional
 
-from .ego_tree import UNIT, EgoTree, TreeCost, _Entry, check_tree_modes, edge_key, link, unlink
+from .ego_tree import UNIT, DownRoute, EgoTree, TreeCost, _Entry, check_tree_modes, edge_key
 from .metrics import CostLedger
 from .trace import Trace
 
@@ -162,7 +168,6 @@ class Network:
     def __init__(self, params: NetParams):
         self.params = params
         self.nodes = [NodeState(i) for i in range(params.n)]
-        self.edges: dict[tuple[int, int], int] = {}
         self.degree = [0] * params.n
         self.total_ws = 0
         self.reset_count = 0
@@ -201,14 +206,17 @@ class Network:
 
     def _new_tree(self, owner: int) -> EgoTree:
         p = self.params
+        # the admission test holds the degree list, not the network: a tree
+        # that pointed back at its network would leave the network to the
+        # cycle collector instead of freeing it when the last reference goes
+        degree = self.degree
         return EgoTree(
             owner,
             vr_capacity=p.virtual_root_capacity,
             rotation_accounting=p.rotation_accounting,
             vr_policy=p.vr_policy,
-            vr_admit=lambda occ: self.degree[occ] < p.delta_cap,
-            edge_counts=self.edges,
-            degree=self.degree,
+            vr_admit=lambda occ: degree[occ] < p.delta_cap,
+            degree=degree,
             degree_cap=p.delta_cap,
         )
 
@@ -226,6 +234,8 @@ class Network:
         self._check_ids(u, v)
         ctx = _Ctx(u, self.degree if self.debug_checks else None)
         self._route(ctx, u, v, 0)
+        if ctx.path[-1] != v:
+            self._path_failed(ctx, f"packet for {v} stopped at {ctx.path[-1]}")
         if self.debug_checks:
             self._debug_sweep(ctx)
         return RequestOutcome(
@@ -238,14 +248,11 @@ class Network:
             path_ok=ctx.path_ok,
         )
 
-    def _step(self, ctx: _Ctx, a: int, b: int) -> None:
-        if self.edges.get(edge_key(a, b), 0) <= 0:
-            ctx.path_ok = False
-            self.path_failures += 1
-            if self.debug_checks:
-                raise InvariantError(f"hop {a}-{b} crosses no physical edge")
-        ctx.hops += 1
-        ctx.path.append(b)
+    def _path_failed(self, ctx: _Ctx, what: str) -> None:
+        ctx.path_ok = False
+        self.path_failures += 1
+        if self.debug_checks:
+            raise InvariantError(what)
 
     def _route(self, ctx: _Ctx, u: int, v: int, attempt: int) -> None:
         if attempt > 3:
@@ -253,7 +260,10 @@ class Network:
         su = self.nodes[u]
         if not su.large:
             if v in su.S:
-                self._step(ctx, u, v)
+                if u not in self.nodes[v].S:
+                    self._path_failed(ctx, f"hop {u}-{v} crosses no physical edge")
+                ctx.hops += 1
+                ctx.path.append(v)
                 return
             if v in su.trees_in:
                 self._walk_up(ctx, u, u, v)
@@ -264,24 +274,26 @@ class Network:
             return
         tree = su.tree
         res = tree.route_down(v)
-        prev = u
-        for occ in res.path:
-            self._step(ctx, prev, occ)
-            prev = occ
+        self._walk_down(ctx, tree, res)
+        last = res.entries[-1]
         if not res.hit:
             resets_before = self.reset_count
             self._add_route(ctx, u, v, no_splay_tree=u)
-            if self.reset_count != resets_before or tree.occupant_of(res.anchor_key) != prev:
+            if self.reset_count != resets_before or last.occupant != ctx.path[-1]:
                 # the flush tore the tree down mid-walk, or a conversion
                 # handed the anchor seat to a fresh helper under the paused
                 # packet; retransmit from the source, keeping the hops spent
                 ctx.path = [u]
                 self._route(ctx, u, v, attempt + 1)
                 return
-            occ = tree.occupant_of(v)
-            self._step(ctx, prev, occ)
-        else:
-            occ = tree.occupant_of(v)
+            # the coordinator attached v as an unsplayed leaf under the anchor
+            leaf = tree._by_key[v]
+            if leaf.parent is not last:
+                self._path_failed(ctx, f"hop {ctx.path[-1]}-{leaf.occupant} crosses no link of tree({u})")
+            ctx.hops += 1
+            ctx.path.append(leaf.occupant)
+            last = leaf
+        occ = last.occupant
         if occ == v:
             self._adjust_tree(ctx, u, v)
             return
@@ -291,13 +303,41 @@ class Network:
         self._adjust_tree(ctx, u, v)  # helper splays the source tree it serves
         return
 
+    def _walk_down(self, ctx: _Ctx, tree: EgoTree, res: DownRoute) -> None:
+        """Take the hops of a root-to-key walk, checking each one against
+        the parent pointer of the entry it lands on."""
+        path = ctx.path
+        entries = res.entries
+        above = entries[0]
+        if above is not tree.root and above.key not in tree.vr:
+            self._path_failed(ctx, f"hop {path[-1]}-{above.occupant} crosses no link of tree({tree.owner})")
+        path.append(above.occupant)
+        for e in entries[1:]:
+            if e.parent is not above:
+                self._path_failed(ctx, f"hop {path[-1]}-{e.occupant} crosses no link of tree({tree.owner})")
+            path.append(e.occupant)
+            above = e
+        ctx.hops += len(entries)
+
     def _walk_up(self, ctx: _Ctx, start: int, from_key: int, tree_owner: int) -> None:
+        """Take the hops of a key-to-owner walk from node `start`, checking
+        that each entry left is a child of the next (the root or a virtual
+        root, for the last hop to the owner)."""
         tree = self.nodes[tree_owner].tree
-        res = tree.route_up(from_key)
-        prev = start
-        for node in res.path:
-            self._step(ctx, prev, node)
-            prev = node
+        entries = tree.route_up(from_key).entries
+        below = entries[0]
+        if below.key != from_key or below.occupant != start:
+            self._path_failed(ctx, f"node {start} does not sit at key {from_key} of tree({tree_owner})")
+        path = ctx.path
+        for e in entries[1:]:
+            if below is not e.left and below is not e.right:
+                self._path_failed(ctx, f"hop {path[-1]}-{e.occupant} crosses no link of tree({tree_owner})")
+            path.append(e.occupant)
+            below = e
+        if below is not tree.root and below.key not in tree.vr:
+            self._path_failed(ctx, f"hop {path[-1]}-{tree_owner} crosses no link of tree({tree_owner})")
+        path.append(tree_owner)
+        ctx.hops += len(entries)
 
     def _adjust_tree(self, ctx: _Ctx, owner: int, key: int) -> None:
         tree = self.nodes[owner].tree
@@ -338,7 +378,8 @@ class Network:
         if not su.large and not sv.large:
             su.S.add(v)
             sv.S.add(u)
-            link(self.edges, self.degree, u, v)
+            self.degree[u] += 1
+            self.degree[v] += 1
             ctx.adjust += 1
             self._shed_virtual_roots(ctx, (u, v))
         elif su.large and not sv.large:
@@ -405,7 +446,8 @@ class Network:
                 if v in su.S:
                     su.S.discard(v)
                     sv.S.discard(u)
-                    unlink(self.edges, self.degree, u, v)
+                    self.degree[u] -= 1
+                    self.degree[v] -= 1
                     ctx.adjust += 1
                 self._tree_insert(ctx, u, v, v, no_splay_tree)
                 sv.trees_in.add(u)
@@ -503,8 +545,7 @@ class Network:
             s.trees_in.clear()
             s.helping.clear()
             s.tree = None
-        # cleared in place: live trees write into these same objects
-        self.edges.clear()
+        # cleared in place: live trees write into this same list
         self.degree[:] = [0] * self.params.n
         self._helper_levels = None
         self.total_ws = 0
@@ -513,6 +554,19 @@ class Network:
         ctx.reset_cost += self.params.n
 
     # -- invariants ---------------------------------------------------------
+
+    @property
+    def edges(self) -> Counter:
+        """Physical edge multiset read off the structure: each direct link
+        once (from its smaller end's S), plus every tree's `edges()`."""
+        edges: Counter = Counter()
+        for s in self.nodes:
+            for v in s.S:
+                if s.id < v:
+                    edges[(s.id, v)] += 1
+            if s.tree is not None:
+                edges.update(s.tree.edges())
+        return edges
 
     def _debug_sweep(self, ctx: _Ctx) -> None:
         p = self.params
@@ -540,7 +594,7 @@ class Network:
         if self.total_ws > p.reset_threshold:
             bad.append(f"total working-set size {self.total_ws} > {p.reset_threshold}")
         if not ctx.path_ok:
-            bad.append("path failed live-edge validation")
+            bad.append("path failed hop validation")
         if bad:
             raise InvariantError("; ".join(bad))
 
@@ -548,7 +602,6 @@ class Network:
         """Full sweep of every structural invariant; empty list means healthy."""
         p = self.params
         bad: list[str] = []
-        expected: Counter = Counter()
         total_ws = 0
         for x in range(p.n):
             s = self.nodes[x]
@@ -569,7 +622,6 @@ class Network:
                 bad.extend(s.tree.check_structure())
                 if set(s.tree.keys_inorder()) != s.working:
                     bad.append(f"tree({x}) keys differ from the working set")
-                expected.update(s.tree.edges())
                 if 1 + p.virtual_root_capacity > p.delta_cap:
                     bad.append(f"table({x}) capacity exceeds the degree cap")
             else:
@@ -584,8 +636,6 @@ class Network:
                 for v in s.S:
                     if self.nodes[v].large or x not in self.nodes[v].S:
                         bad.append(f"direct link {x}-{v} is one-sided or to a large node")
-                    if x < v:
-                        expected[edge_key(x, v)] += 1
                 for w in s.trees_in:
                     t = self.nodes[w].tree
                     if not self.nodes[w].large or t is None or x not in t or t.occupant_of(x) != x:
@@ -604,14 +654,7 @@ class Network:
                     )
                     if not ok:
                         bad.append(f"helper duty ({a}, {b}) of node {x} is inconsistent")
-        live = Counter(self.edges)
-        if live != expected:
-            diff = (live - expected) + (expected - live)
-            bad.append(f"edge multiset mismatch on {sorted(diff)[:8]}")
-        degree = [0] * p.n
-        for (a, b), cnt in self.edges.items():
-            degree[a] += cnt  # a self-loop counts twice
-            degree[b] += cnt
+        degree = degrees(self.edges, p.n)
         for x in range(p.n):
             if degree[x] != self.degree[x]:
                 bad.append(f"degree cache of node {x}: {self.degree[x]} != {degree[x]}")
@@ -700,14 +743,19 @@ class Network:
             for key in tdata["vr"]:
                 tree.vr[key] = None
             net.nodes[owner].tree = tree
-        for a, b, cnt in snap["edges"]:
-            k = edge_key(a, b)
-            net.edges[k] = net.edges.get(k, 0) + cnt
-            net.degree[a] += cnt
-            net.degree[b] += cnt
+        net.degree[:] = degrees(net.edges, params.n)
         net.total_ws = snap["coordinator"]["total_ws"]
         net.reset_count = snap["coordinator"]["reset_count"]
         return net
+
+
+def degrees(edges: Counter, n: int) -> list[int]:
+    """Node degrees counted from an edge multiset; a self-loop counts twice."""
+    degree = [0] * n
+    for (a, b), cnt in edges.items():
+        degree[a] += cnt
+        degree[b] += cnt
+    return degree
 
 
 def _check_snapshot_ids(snap: dict, n: int) -> None:

@@ -192,6 +192,27 @@ def test_validate_clean_and_corrupted_snapshots(tmp_path):
     assert run_cli("validate", str(garbled)) == 2
 
 
+def test_validate_catches_swapped_edge_endpoints(tmp_path):
+    # two listed edges a-b, c-d become a-d, c-b: every degree is unchanged,
+    # so only the comparison against the structure can see it
+    out = tmp_path / "out"
+    assert run_cli("run", "--workload", "star", "--n", "16", "--m", "400", "--c", "0.5",
+                   "--seed", "7", "--out", str(out)) == 0
+    snap = json.loads((out / "snapshot.json").read_text())
+    edges = snap["edges"]
+    listed = {(a, b) for a, b, _ in edges}
+    i, j = next(
+        (i, j)
+        for i, (a, b, _) in enumerate(edges)
+        for j, (c, d, _) in enumerate(edges)
+        if len({a, b, c, d}) == 4 and (min(a, d), max(a, d)) not in listed and (min(c, b), max(c, b)) not in listed
+    )
+    edges[i][1], edges[j][1] = edges[j][1], edges[i][1]
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(snap))
+    assert run_cli("validate", str(bad_path)) == 1
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda snap: snap["edges"][0].__setitem__(1, 99),
     lambda snap: snap["edges"][0].__setitem__(0, -1),  # would alias node 15

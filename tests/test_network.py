@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -415,14 +416,84 @@ def test_debug_sweep_catches_degree_overflow_on_tree_occupant():
 
 
 def test_validate_detects_corrupted_edges():
+    # the degree cache is the one copy of link counts kept beside the structure
     net = fresh(8, 1)
     net.serve_request(1, 2)
     assert net.validate_invariants() == []
-    net.edges[(5, 6)] = 1
     net.degree[5] += 1
-    net.degree[6] += 1
-    bad = net.validate_invariants()
-    assert bad and any("edge multiset" in b for b in bad)
+    assert net.validate_invariants() == ["degree cache of node 5: 1 != 0"]
+
+
+def test_validate_detects_one_sided_direct_link():
+    net = fresh(8, 1)
+    net.serve_request(1, 2)
+    net.nodes[2].S.discard(1)
+    assert "direct link 1-2 is one-sided or to a large node" in net.validate_invariants()
+
+
+def test_validate_detects_broken_parent_pointer():
+    net = fresh(16, 0.5, virtual_root_capacity=0)
+    tree = grow_large(net, 0, (3, 4, 5))
+    child = tree.root.left or tree.root.right
+    child.parent = None
+    assert f"tree(0): broken parent link at {child.key}" in net.validate_invariants()
+
+
+# -- hop validation, by fault injection ----------------------------------------------
+
+
+def drop_second_entry(route):
+    # the walk skips one level: its second entry goes missing
+    assert len(route.entries) >= 3
+    return dataclasses.replace(route, entries=route.entries[:1] + route.entries[2:])
+
+
+def assert_hop_fault_caught(net, u, v, debug):
+    net.debug_checks = debug
+    if debug:
+        with pytest.raises(InvariantError):
+            net.serve_request(u, v)
+    else:
+        assert not net.serve_request(u, v).path_ok
+        assert net.path_failures == 1
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_hop_check_catches_route_down_skipping_a_level(monkeypatch, debug):
+    net = fresh(32, 0.5, virtual_root_capacity=0)
+    tree = grow_large(net, 0, (3, 4, 5, 6, 7, 8))
+    assert tree.depth(3) >= 2
+    route_down = EgoTree.route_down
+    monkeypatch.setattr(EgoTree, "route_down", lambda self, key: drop_second_entry(route_down(self, key)))
+    assert_hop_fault_caught(net, 0, 3, debug)
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_hop_check_catches_route_up_skipping_a_level(monkeypatch, debug):
+    net = fresh(32, 0.5, virtual_root_capacity=0)
+    tree = grow_large(net, 0, (3, 4, 5, 6, 7, 8))
+    assert tree.depth(3) >= 2
+    route_up = EgoTree.route_up
+    monkeypatch.setattr(EgoTree, "route_up", lambda self, key: drop_second_entry(route_up(self, key)))
+    assert_hop_fault_caught(net, 3, 0, debug)
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_hop_check_catches_helper_relay_skipping_the_walk_up(monkeypatch, debug):
+    net = fresh(32, 0.5)
+    grow_large(net, 0, (3, 4, 5))
+    grow_large(net, 1, (6, 7, 8))
+    net.serve_request(0, 1)  # a helper now relays (0, 1)
+    assert net.nodes[0].tree.occupant_of(1) != 1
+    walk_up = Network._walk_up
+
+    def relay_skips_walk_up(self, ctx, start, from_key, tree_owner):
+        if start != from_key:  # only a helper starts at a seat keyed by someone else
+            return
+        walk_up(self, ctx, start, from_key, tree_owner)
+
+    monkeypatch.setattr(Network, "_walk_up", relay_skips_walk_up)
+    assert_hop_fault_caught(net, 0, 1, debug)
 
 
 def test_snapshot_roundtrip_after_workout():
