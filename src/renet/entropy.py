@@ -1,10 +1,26 @@
-"""Empirical entropy measures over sparse frequency maps.
+"""Empirical entropy measures: one count-array kernel and a dict API over it.
 
-A distribution is a plain mapping ``key -> frequency``; a joint distribution
-is a mapping ``(src, dst) -> frequency``.  Frequencies are non-negative and
-sum to one.  Zero entries are simply absent, which realizes the
-``0 * log(1/0) = 0`` convention by construction.  All sums iterate in sorted
-key order so repeated runs produce bit-identical results.
+The kernel takes the distinct (src, dst) pairs of a demand in ascending
+(src, dst) order, as integer counts, and returns H(X), H(Y), H(Y|X) and
+H(X|Y).  Pairs with count zero are skipped, which realizes the
+``0 * log(1/0) = 0`` convention.  `windowed_entropy_report` runs it on a
+running prefix count (one `np.bincount` per stride over the trace's pair
+indices) and on each trailing window; `demand_entropy` runs it on one range.
+
+Every result is bit-identical from run to run and equal to summing in
+sorted key order: frequencies are ``count / total``; row and column sums are
+`np.bincount` with weights, which adds each bin's entries left to right in
+array order (ascending y within a row, ascending x within a column); the
+logs come from `math.log`; and the sum over rows is a `np.cumsum`, which is
+sequential as well.  `np.sum` and `np.add.reduceat` sum pairwise and would
+move the last bits.
+
+The dict API (`entropy`, `marginals`, `conditional_entropy`, ...) takes a
+distribution as a plain mapping ``key -> frequency`` and a joint
+distribution as a mapping ``(src, dst) -> frequency``; frequencies are
+non-negative and sum to one, which `check_dist` verifies at each of these
+entry points.  The adapters list the entries in sorted key order and call
+the same kernel pieces.
 """
 
 from __future__ import annotations
@@ -12,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
+
+import numpy as np
 
 SUM_TOL = 1e-9
 
@@ -43,31 +61,76 @@ def normalized(counts: Mapping) -> dict:
     return {k: counts[k] / total for k in sorted(counts) if counts[k] > 0}
 
 
+def _neg_plogp(p: np.ndarray) -> np.ndarray:
+    """-p * log(p) per entry.  The logs come from `math.log`: `np.log` may
+    differ from it in the last ulp."""
+    logs = np.fromiter(map(math.log, p.tolist()), dtype=np.float64, count=len(p))
+    return -(p * logs)
+
+
+def _entropy(p: np.ndarray, lb: float) -> float:
+    """Entropy of the positive frequencies `p`, summed left to right."""
+    return max(0.0, float(np.cumsum(_neg_plogp(p))[-1]) / lb)
+
+
+def _conditional(f: np.ndarray, key: np.ndarray, fk: np.ndarray, lb: float) -> float:
+    """H(sub | key) = sum_k f(k) H(row_k / f(k)); `fk` holds the row sums."""
+    row_h = np.bincount(key, weights=_neg_plogp(f / fk[key]))
+    present = fk > 0
+    return max(0.0, float(np.cumsum(fk[present] * row_h[present])[-1]) / lb)
+
+
+def _count_entropies(x: np.ndarray, y: np.ndarray, counts: np.ndarray, base: float) -> tuple[float, float, float, float]:
+    """The kernel: H(X), H(Y), H(Y|X) and H(X|Y) of the integer counts of
+    the pairs (x[i], y[i]), listed in ascending (x, y) order; zero counts are
+    skipped."""
+    present = counts > 0
+    c = counts[present]
+    total = float(c.sum())
+    if total <= 0:
+        raise ValueError("cannot take entropies of empty or all-zero counts")
+    f = c / total
+    x, y = x[present], y[present]
+    fx = np.bincount(x, weights=f)
+    fy = np.bincount(y, weights=f)
+    lb = math.log(base)
+    return (
+        _entropy(fx[fx > 0], lb),
+        _entropy(fy[fy > 0], lb),
+        _conditional(f, x, fx, lb),
+        _conditional(f, y, fy, lb),
+    )
+
+
+def _joint_arrays(joint: Mapping) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, list]:
+    """Positive entries of a joint map in sorted key order: frequencies,
+    ranks of x and of y, and the sorted x and y keys the ranks index."""
+    keys = sorted(k for k, f in joint.items() if f > 0.0)
+    xkeys = sorted({x for x, _ in keys})
+    ykeys = sorted({y for _, y in keys})
+    xrank = {x: i for i, x in enumerate(xkeys)}
+    yrank = {y: i for i, y in enumerate(ykeys)}
+    f = np.array([joint[k] for k in keys], dtype=np.float64)
+    x = np.array([xrank[k[0]] for k in keys], dtype=np.intp)
+    y = np.array([yrank[k[1]] for k in keys], dtype=np.intp)
+    return f, x, y, xkeys, ykeys
+
+
 def entropy(dist: Mapping, base: float = 2.0) -> float:
     """Shannon entropy -sum p log_base p of a frequency distribution."""
     _check_base(base)
     check_dist(dist)
-    lb = math.log(base)
-    h = 0.0
-    for k in sorted(dist):
-        p = dist[k]
-        if p > 0.0:
-            h -= p * math.log(p)
-    return max(0.0, h / lb)
+    p = np.array([dist[k] for k in sorted(dist) if dist[k] > 0.0], dtype=np.float64)
+    return _entropy(p, math.log(base))
 
 
 def marginals(joint: Mapping) -> tuple[dict, dict]:
     """Source (row-sum) and destination (column-sum) marginals of a joint map."""
     check_dist(joint)
-    xs: dict = {}
-    ys: dict = {}
-    for (x, y) in sorted(joint):
-        f = joint[(x, y)]
-        if f <= 0.0:
-            continue
-        xs[x] = xs.get(x, 0.0) + f
-        ys[y] = ys.get(y, 0.0) + f
-    return xs, ys
+    f, x, y, xkeys, ykeys = _joint_arrays(joint)
+    fx = np.bincount(x, weights=f).tolist()
+    fy = np.bincount(y, weights=f).tolist()
+    return dict(zip(xkeys, fx)), dict(zip(ykeys, fy))
 
 
 def joint_entropy(joint: Mapping, base: float = 2.0) -> float:
@@ -85,36 +148,22 @@ def conditional_entropy(joint: Mapping, direction: str, base: float = 2.0) -> fl
     check_dist(joint)
     if direction not in (Y_GIVEN_X, X_GIVEN_Y):
         raise ValueError(f"direction must be {Y_GIVEN_X!r} or {X_GIVEN_Y!r}")
-    rows: dict = {}
-    for (x, y) in joint:
-        f = joint[(x, y)]
-        if f <= 0.0:
-            continue
-        k, sub = (x, y) if direction == Y_GIVEN_X else (y, x)
-        rows.setdefault(k, {})[sub] = rows.get(k, {}).get(sub, 0.0) + f
-    lb = math.log(base)
-    h = 0.0
-    for k in sorted(rows):
-        row = rows[k]
-        fk = sum(row[s] for s in sorted(row))
-        row_h = 0.0
-        for s in sorted(row):
-            p = row[s] / fk
-            if p > 0.0:
-                row_h -= p * math.log(p)
-        h += fk * row_h
-    return max(0.0, h / lb)
+    f, x, y, _, _ = _joint_arrays(joint)
+    key = x if direction == Y_GIVEN_X else y
+    return _conditional(f, key, np.bincount(key, weights=f), math.log(base))
 
 
 def demand_entropy(trace, base: float, start: int = 0, stop: int | None = None) -> float:
     """h_con of trace[start:stop]: the larger of the two conditional entropies
-    of its normalized pair counts.  Window reports and the static lower bound
-    both use this one rule."""
-    joint = normalized(trace.pair_counts(start, stop))
-    return max(
-        conditional_entropy(joint, Y_GIVEN_X, base),
-        conditional_entropy(joint, X_GIVEN_Y, base),
-    )
+    of its pair counts.  Window reports and the static lower bound both use
+    this one rule."""
+    stop = len(trace) if stop is None else stop
+    if not (0 <= start <= stop <= len(trace)):
+        raise ValueError(f"bad index range [{start}, {stop})")
+    codes, counts = np.unique(trace.src[start:stop] * trace.n + trace.dst[start:stop], return_counts=True)
+    x, y = np.divmod(codes, trace.n)
+    _, _, hygx, hxgy = _count_entropies(x, y, counts, base)
+    return max(hygx, hxgy)
 
 
 def symmetrize(joint: Mapping) -> dict:
@@ -199,24 +248,18 @@ def windowed_entropy_report(trace, window: int, stride: int, base: float = 2.0) 
     m = len(trace)
     if window > m:
         raise ValueError(f"window {window} exceeds trace length {m}")
+    n = trace.n
+    codes, inverse = np.unique(trace.src * n + trace.dst, return_inverse=True)
+    x, y = np.divmod(codes, n)
+    prefix = np.zeros(len(codes), dtype=np.int64)
     rows = []
     for t in range(stride, m + 1, stride):
-        win_joint = normalized(trace.pair_counts(max(0, t - window), t))
-        full_joint = normalized(trace.pair_counts(0, t))
-        wx, wy = marginals(win_joint)
-        fx, fy = marginals(full_joint)
+        step = np.bincount(inverse[t - stride:t], minlength=len(codes))
+        prefix += step
+        lo = max(0, t - window)
+        win = step if lo == t - stride else np.bincount(inverse[lo:t], minlength=len(codes))
         rows.append(
-            EntropyRow(
-                t=t,
-                hx=entropy(wx, base),
-                hy=entropy(wy, base),
-                hygx=conditional_entropy(win_joint, Y_GIVEN_X, base),
-                hxgy=conditional_entropy(win_joint, X_GIVEN_Y, base),
-                hx_full=entropy(fx, base),
-                hy_full=entropy(fy, base),
-                hygx_full=conditional_entropy(full_joint, Y_GIVEN_X, base),
-                hxgy_full=conditional_entropy(full_joint, X_GIVEN_Y, base),
-            )
+            EntropyRow(t, *_count_entropies(x, y, win, base), *_count_entropies(x, y, prefix, base))
         )
     return rows
 

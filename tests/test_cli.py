@@ -157,6 +157,16 @@ def test_entropy_command(tmp_path):
     assert len(lines) == 1 + 5
 
 
+@pytest.mark.parametrize("flags, words", [
+    (["--window", "500", "--m", "100"], "window 500 exceeds the trace length 100"),
+    (["--stride", "-3"], "stride -3"),
+], ids=["window-over-m", "negative-stride"])
+def test_entropy_bad_window_or_stride_exits_two(tmp_path, capsys, flags, words):
+    assert run_cli("entropy", "--workload", "torus", "--n", "16", *flags, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and words in err[0]
+
+
 def test_compare_command(tmp_path):
     out = tmp_path / "out"
     code = run_cli(

@@ -1,5 +1,8 @@
+import dataclasses
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +11,7 @@ from renet.entropy import (
     Y_GIVEN_X,
     averaged_entropy_bounds,
     conditional_entropy,
+    demand_entropy,
     entropy,
     joint_entropy,
     marginals,
@@ -275,3 +279,126 @@ def test_windowed_report_rejects_bad_args():
         windowed_entropy_report(tr, window=5, stride=0)
     with pytest.raises(ValueError):
         windowed_entropy_report(tr, window=11, stride=1)
+
+
+# -- exact equality with the dict-loop definition ------------------------------
+#
+# A frozen copy of the dict loops the count-array kernel replaced.  Every sum
+# is an explicit left-to-right loop in sorted key order, so the oracle does
+# not depend on how a Python version implements `sum` over floats.
+
+
+def _loop_normalized(counts):
+    total = 0
+    for k in counts:
+        total += counts[k]
+    total = float(total)
+    return {k: counts[k] / total for k in sorted(counts) if counts[k] > 0}
+
+
+def _loop_entropy(dist, base):
+    h = 0.0
+    for k in sorted(dist):
+        p = dist[k]
+        if p > 0.0:
+            h -= p * math.log(p)
+    return max(0.0, h / math.log(base))
+
+
+def _loop_marginals(joint):
+    xs, ys = {}, {}
+    for (x, y) in sorted(joint):
+        f = joint[(x, y)]
+        if f <= 0.0:
+            continue
+        xs[x] = xs.get(x, 0.0) + f
+        ys[y] = ys.get(y, 0.0) + f
+    return xs, ys
+
+
+def _loop_conditional(joint, direction, base):
+    rows = {}
+    for (x, y) in joint:
+        f = joint[(x, y)]
+        if f <= 0.0:
+            continue
+        k, sub = (x, y) if direction == Y_GIVEN_X else (y, x)
+        rows.setdefault(k, {})[sub] = rows.get(k, {}).get(sub, 0.0) + f
+    h = 0.0
+    for k in sorted(rows):
+        row = rows[k]
+        fk = 0
+        for s in sorted(row):
+            fk += row[s]
+        row_h = 0.0
+        for s in sorted(row):
+            p = row[s] / fk
+            if p > 0.0:
+                row_h -= p * math.log(p)
+        h += fk * row_h
+    return max(0.0, h / math.log(base))
+
+
+def _loop_all(counts, base):
+    joint = _loop_normalized(counts)
+    xs, ys = _loop_marginals(joint)
+    return (
+        _loop_entropy(xs, base),
+        _loop_entropy(ys, base),
+        _loop_conditional(joint, Y_GIVEN_X, base),
+        _loop_conditional(joint, X_GIVEN_Y, base),
+    )
+
+
+def _loop_report(trace, window, stride, base):
+    pairs = trace.pairs()
+    return [
+        (t, *_loop_all(Counter(pairs[max(0, t - window):t]), base), *_loop_all(Counter(pairs[:t]), base))
+        for t in range(stride, len(pairs) + 1, stride)
+    ]
+
+
+@st.composite
+def skewed_traces(draw):
+    """Zipf-skewed traces; a hub block gives one source or destination up to n - 1 partners."""
+    n = draw(st.integers(4, 64))
+    m = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = np.arange(1, n + 1, dtype=float) ** -draw(st.floats(0.0, 2.0))
+    src = rng.choice(n, size=m, p=weights / weights.sum())
+    offset = 1 + rng.choice(n - 1, size=m, p=weights[:-1] / weights[:-1].sum())
+    dst = (src + offset) % n
+    hub = draw(st.sampled_from(["none", "src", "dst"]))
+    k = min(m, n - 1)
+    if hub == "src":
+        src[:k], dst[:k] = 0, np.arange(1, k + 1)
+    elif hub == "dst":
+        src[:k], dst[:k] = np.arange(1, k + 1), 0
+    return Trace(n, src, dst)
+
+
+@given(skewed_traces(), st.data(), st.sampled_from([2.0, 3.0, 6.0]))
+@settings(max_examples=200, deadline=None)
+def test_report_and_demand_entropy_equal_the_dict_loops(trace, data, base):
+    m = len(trace)
+    window = data.draw(st.integers(1, m), label="window")
+    stride = data.draw(st.integers(max(1, m // 40), m), label="stride")
+    rows = [dataclasses.astuple(r) for r in windowed_entropy_report(trace, window, stride, base)]
+    assert rows == _loop_report(trace, window, stride, base)
+
+    start = data.draw(st.integers(0, m - 1), label="start")
+    stop = data.draw(st.integers(start + 1, m), label="stop")
+    counts = Counter(trace.pairs()[start:stop])
+    _, _, hygx, hxgy = _loop_all(counts, base)
+    assert demand_entropy(trace, base, start, stop) == max(hygx, hxgy)
+
+
+@given(joints(), st.sampled_from([2.0, 3.0, 6.0]))
+@settings(max_examples=200, deadline=None)
+def test_dict_api_equals_the_dict_loops(joint, base):
+    xs, ys = marginals(joint)
+    assert (xs, ys) == _loop_marginals(joint)
+    assert entropy(xs, base) == _loop_entropy(xs, base)
+    assert joint_entropy(joint, base) == _loop_entropy(joint, base)
+    for direction in (Y_GIVEN_X, X_GIVEN_Y):
+        assert conditional_entropy(joint, direction, base) == _loop_conditional(joint, direction, base)
