@@ -55,6 +55,9 @@ from .trace import (
 
 DEBUG_ENV = "RENET_DEBUG_INVARIANTS"
 WORKLOAD_NAMES = ("torus", "star", "rrg", "product", "uniform")
+BASELINE_NAMES = ("stat", "oblivious")
+# the type of each field annotation, for its flag and its config-file value
+FIELD_TYPES = {"int": int, "float": float, "str": str}
 
 
 class ConfigError(ValueError):
@@ -90,10 +93,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - set(types))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in data.items():
+            kind = (int, float) if types[key] == "float" else FIELD_TYPES[types[key]]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"config key {key} must be of type {types[key]}, got {value!r}")
         return cls(**data)
 
 
@@ -101,7 +108,10 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     data: dict = {}
     if path:
         with open(path) as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a flat JSON object")
         data.update(raw)
@@ -158,9 +168,16 @@ def make_params(cfg: ExperimentConfig, n: int) -> NetParams:
 
 def run_cell(cfg: ExperimentConfig, trace: Trace, params: NetParams, outdir: Path) -> dict:
     """One full replay plus baseline comparisons; writes all report files."""
-    outdir.mkdir(parents=True, exist_ok=True)
     delta = cfg.delta or len(trace)
-    sparsity = sparsity_check(trace, SparsityParams(cfg.c, delta))
+    wanted = {b.strip() for b in cfg.baselines.split(",") if b.strip()}
+    if not wanted <= set(BASELINE_NAMES):
+        raise ConfigError(f"baselines must be among {', '.join(BASELINE_NAMES)}, got {cfg.baselines!r}")
+    try:
+        sparsity_params = SparsityParams(cfg.c, delta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    outdir.mkdir(parents=True, exist_ok=True)
+    sparsity = sparsity_check(trace, sparsity_params)
 
     net = Network(params)
     net.debug_checks = os.environ.get(DEBUG_ENV, "") == "1"
@@ -178,7 +195,6 @@ def run_cell(cfg: ExperimentConfig, trace: Trace, params: NetParams, outdir: Pat
     with open(outdir / "snapshot.json", "w") as fh:
         json.dump(net.snapshot(), fh, indent=1, sort_keys=True)
 
-    wanted = {b.strip() for b in cfg.baselines.split(",") if b.strip()}
     summary = {
         "n": params.n,
         "m": len(trace),
@@ -340,13 +356,7 @@ def cmd_validate(snapshot_path: str) -> int:
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat-key JSON config file")
     for f in dataclasses.fields(ExperimentConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.type in ("int", int):
-            sub.add_argument(flag, type=int, default=None)
-        elif f.type in ("float", float):
-            sub.add_argument(flag, type=float, default=None)
-        else:
-            sub.add_argument(flag, type=str, default=None)
+        sub.add_argument("--" + f.name.replace("_", "-"), type=FIELD_TYPES[f.type], default=None)
 
 
 def main(argv=None) -> int:

@@ -22,8 +22,10 @@ it is taken, never against the walk's own report: a direct hop needs the
 link in S on both ends; a hop down a tree needs the next entry's parent to
 be the entry just left (the first entry must be the root or a virtual
 root); a hop up needs the entry just left to be a child of the next one
-(the root or a virtual root, for the hop to the owner).  A packet must end
-at its destination.
+(the root or a virtual root, for the hop to the owner).  The checks track
+only the packet's current position, not its path, and the packet must end
+at its destination.  A served request returns its ledger row and leaves no
+other record.
 
 Helpers are picked from an index of small nodes bucketed by helper load,
 rebuilt lazily after each reset (see `find_helper`).
@@ -98,6 +100,8 @@ class NetParams:
         virtual_root_capacity: Optional[int] = None,
         vr_policy: str = "lru",
     ) -> "NetParams":
+        if not math.isfinite(c):
+            raise ValueError(f"sparsity constant c must be finite, got {c}")
         theta = max(2, math.ceil(4 * c))
         delta_cap = 6 * theta
         return cls(
@@ -131,29 +135,16 @@ class NodeState:
         return len(self.S) + 3 * len(self.trees_in) + 6 * len(self.helping)
 
 
-@dataclass
-class RequestOutcome:
-    hops: int
-    adjust_cost: int
-    coord_cost: int
-    reset_fired: bool
-    reset_cost: int
-    path: list
-    path_ok: bool
-
-
 class _Ctx:
-    __slots__ = ("hops", "adjust", "coord", "reset_cost", "reset_fired", "path",
-                 "path_ok", "debug", "degree_before", "touched_nodes", "touched_trees")
+    __slots__ = ("hops", "adjust", "coord", "reset_cost", "at", "debug",
+                 "degree_before", "touched_nodes", "touched_trees")
 
     def __init__(self, src: int, degree: Optional[list] = None):
         self.hops = 0
         self.adjust = 0
         self.coord = 0
         self.reset_cost = 0
-        self.reset_fired = False
-        self.path = [src]
-        self.path_ok = True
+        self.at = src  # the node holding the packet
         # for the debug sweep only: start degrees, changed tables and trees
         self.debug = degree is not None
         if self.debug:
@@ -229,27 +220,20 @@ class Network:
         if u == v:
             raise ValueError("self-requests are not part of the model")
 
-    def serve_request(self, u: int, v: int) -> RequestOutcome:
-        """Route one request, self-adjust, and account all costs."""
+    def serve_request(self, u: int, v: int) -> tuple[int, int, int, int]:
+        """Route one request, self-adjust, and account all costs; returns the
+        ledger row (hops, adjust, coord, reset).  The hop checks follow the
+        packet's position only; a failed one counts in `path_failures`."""
         self._check_ids(u, v)
         ctx = _Ctx(u, self.degree if self.debug_checks else None)
         self._route(ctx, u, v, 0)
-        if ctx.path[-1] != v:
-            self._path_failed(ctx, f"packet for {v} stopped at {ctx.path[-1]}")
+        if ctx.at != v:
+            self._path_failed(f"packet for {v} stopped at {ctx.at}")
         if self.debug_checks:
             self._debug_sweep(ctx)
-        return RequestOutcome(
-            hops=ctx.hops,
-            adjust_cost=ctx.adjust,
-            coord_cost=ctx.coord,
-            reset_fired=ctx.reset_fired,
-            reset_cost=ctx.reset_cost,
-            path=ctx.path,
-            path_ok=ctx.path_ok,
-        )
+        return ctx.hops, ctx.adjust, ctx.coord, ctx.reset_cost
 
-    def _path_failed(self, ctx: _Ctx, what: str) -> None:
-        ctx.path_ok = False
+    def _path_failed(self, what: str) -> None:
         self.path_failures += 1
         if self.debug_checks:
             raise InvariantError(what)
@@ -261,9 +245,9 @@ class Network:
         if not su.large:
             if v in su.S:
                 if u not in self.nodes[v].S:
-                    self._path_failed(ctx, f"hop {u}-{v} crosses no physical edge")
+                    self._path_failed(f"hop {u}-{v} crosses no physical edge")
                 ctx.hops += 1
-                ctx.path.append(v)
+                ctx.at = v
                 return
             if v in su.trees_in:
                 self._walk_up(ctx, u, u, v)
@@ -279,19 +263,19 @@ class Network:
         if not res.hit:
             resets_before = self.reset_count
             self._add_route(ctx, u, v, no_splay_tree=u)
-            if self.reset_count != resets_before or last.occupant != ctx.path[-1]:
+            if self.reset_count != resets_before or last.occupant != ctx.at:
                 # the flush tore the tree down mid-walk, or a conversion
                 # handed the anchor seat to a fresh helper under the paused
                 # packet; retransmit from the source, keeping the hops spent
-                ctx.path = [u]
+                ctx.at = u
                 self._route(ctx, u, v, attempt + 1)
                 return
             # the coordinator attached v as an unsplayed leaf under the anchor
             leaf = tree._by_key[v]
             if leaf.parent is not last:
-                self._path_failed(ctx, f"hop {ctx.path[-1]}-{leaf.occupant} crosses no link of tree({u})")
+                self._path_failed(f"hop {last.occupant}-{leaf.occupant} crosses no link of tree({u})")
             ctx.hops += 1
-            ctx.path.append(leaf.occupant)
+            ctx.at = leaf.occupant
             last = leaf
         occ = last.occupant
         if occ == v:
@@ -301,22 +285,19 @@ class Network:
         self._walk_up(ctx, occ, u, v)
         self._adjust_tree(ctx, v, u)  # destination splays the delivering tree
         self._adjust_tree(ctx, u, v)  # helper splays the source tree it serves
-        return
 
     def _walk_down(self, ctx: _Ctx, tree: EgoTree, res: DownRoute) -> None:
         """Take the hops of a root-to-key walk, checking each one against
         the parent pointer of the entry it lands on."""
-        path = ctx.path
         entries = res.entries
         above = entries[0]
         if above is not tree.root and above.key not in tree.vr:
-            self._path_failed(ctx, f"hop {path[-1]}-{above.occupant} crosses no link of tree({tree.owner})")
-        path.append(above.occupant)
+            self._path_failed(f"hop {ctx.at}-{above.occupant} crosses no link of tree({tree.owner})")
         for e in entries[1:]:
             if e.parent is not above:
-                self._path_failed(ctx, f"hop {path[-1]}-{e.occupant} crosses no link of tree({tree.owner})")
-            path.append(e.occupant)
+                self._path_failed(f"hop {above.occupant}-{e.occupant} crosses no link of tree({tree.owner})")
             above = e
+        ctx.at = above.occupant
         ctx.hops += len(entries)
 
     def _walk_up(self, ctx: _Ctx, start: int, from_key: int, tree_owner: int) -> None:
@@ -327,16 +308,14 @@ class Network:
         entries = tree.route_up(from_key).entries
         below = entries[0]
         if below.key != from_key or below.occupant != start:
-            self._path_failed(ctx, f"node {start} does not sit at key {from_key} of tree({tree_owner})")
-        path = ctx.path
+            self._path_failed(f"node {start} does not sit at key {from_key} of tree({tree_owner})")
         for e in entries[1:]:
             if below is not e.left and below is not e.right:
-                self._path_failed(ctx, f"hop {path[-1]}-{e.occupant} crosses no link of tree({tree_owner})")
-            path.append(e.occupant)
+                self._path_failed(f"hop {below.occupant}-{e.occupant} crosses no link of tree({tree_owner})")
             below = e
         if below is not tree.root and below.key not in tree.vr:
-            self._path_failed(ctx, f"hop {path[-1]}-{tree_owner} crosses no link of tree({tree_owner})")
-        path.append(tree_owner)
+            self._path_failed(f"hop {below.occupant}-{tree_owner} crosses no link of tree({tree_owner})")
+        ctx.at = tree_owner
         ctx.hops += len(entries)
 
     def _adjust_tree(self, ctx: _Ctx, owner: int, key: int) -> None:
@@ -344,15 +323,6 @@ class Network:
         self._settle(ctx, tree, tree.adjust(key))
 
     # -- coordinator --------------------------------------------------------
-
-    def add_route(self, u: int, v: int) -> RequestOutcome:
-        """Coordinator entry point for connecting a new pair (no packet)."""
-        self._check_ids(u, v)
-        ctx = _Ctx(u, self.degree if self.debug_checks else None)
-        self._add_route(ctx, u, v)
-        if self.debug_checks:
-            self._debug_sweep(ctx)
-        return RequestOutcome(0, ctx.adjust, ctx.coord, ctx.reset_fired, ctx.reset_cost, ctx.path, ctx.path_ok)
 
     def _add_route(self, ctx: _Ctx, u: int, v: int, no_splay_tree: Optional[int] = None) -> None:
         p = self.params
@@ -362,8 +332,7 @@ class Network:
             return
         # flush-when-full: this route would grow the working sets past the cap
         if self.total_ws + 2 > p.reset_threshold:
-            self._do_reset(ctx)
-            su, sv = self.nodes[u], self.nodes[v]
+            self._do_reset(ctx)  # clears the node states in place
         su.working.add(v)
         sv.working.add(u)
         self.total_ws += 2
@@ -399,28 +368,11 @@ class Network:
 
     def _pair_linked(self, u: int, v: int) -> bool:
         su, sv = self.nodes[u], self.nodes[v]
-        if v in su.S:
-            return True
-        if su.large and su.tree is not None and v in su.tree:
-            return True
-        if sv.large and sv.tree is not None and u in sv.tree:
-            return True
-        return False
+        return v in su.S or (su.large and v in su.tree) or (sv.large and u in sv.tree)
 
     def _tree_insert(self, ctx: _Ctx, owner: int, key: int, occupant: int, no_splay_tree: Optional[int]) -> None:
         tree = self.nodes[owner].tree
         self._settle(ctx, tree, tree.insert(key, occupant, splay=(owner != no_splay_tree)))
-
-    def make_large(self, u: int) -> RequestOutcome:
-        """Convert a small node whose working set just crossed the threshold."""
-        s = self.nodes[u]
-        if s.large:
-            raise ValueError(f"node {u} is already large")
-        if len(s.working) != self.params.theta + 1:
-            raise ValueError("make_large applies exactly at |W| = theta + 1")
-        ctx = _Ctx(u)
-        self._make_large(ctx, u, None)
-        return RequestOutcome(0, ctx.adjust, ctx.coord, ctx.reset_fired, ctx.reset_cost, ctx.path, ctx.path_ok)
 
     def _make_large(self, ctx: _Ctx, u: int, no_splay_tree: Optional[int]) -> None:
         p = self.params
@@ -499,7 +451,7 @@ class Network:
                 s = nodes[x]
                 if s.large or len(s.helping) != load:
                     heappop(heap)
-                elif x in banned or len(s.S) + 3 * len(s.trees_in) + 6 * (load + 1) > p.delta_cap:
+                elif x in banned or s.table_ports(p.virtual_root_capacity) + 6 > p.delta_cap:
                     passed.append(heappop(heap))
                 else:
                     best = x
@@ -550,7 +502,6 @@ class Network:
         self._helper_levels = None
         self.total_ws = 0
         self.reset_count += 1
-        ctx.reset_fired = True
         ctx.reset_cost += self.params.n
 
     # -- invariants ---------------------------------------------------------
@@ -568,33 +519,38 @@ class Network:
                 edges.update(s.tree.edges())
         return edges
 
+    def _check_node(self, x: int, degree: int, bad: list[str]) -> None:
+        """The per-node rules: degree cap, size class against |W|, and for a
+        small node the table budget and helper load."""
+        p = self.params
+        s = self.nodes[x]
+        if degree > p.delta_cap:
+            bad.append(f"degree({x}) = {degree} > {p.delta_cap}")
+        if s.large:
+            if len(s.working) <= p.theta:
+                bad.append(f"node {x} large with |W| = {len(s.working)}")
+        else:
+            if len(s.working) > p.theta:
+                bad.append(f"node {x} small with |W| = {len(s.working)}")
+            ports = s.table_ports(p.virtual_root_capacity)
+            if ports > p.delta_cap:
+                bad.append(f"table({x}) = {ports} ports > {p.delta_cap}")
+            if len(s.helping) > 2 * p.c:
+                bad.append(f"helper load({x}) = {len(s.helping)} > 2c = {2 * p.c}")
+
     def _debug_sweep(self, ctx: _Ctx) -> None:
         p = self.params
         bad: list[str] = []
         # without a tree operation only touched nodes' links changed
         changed = compress(count(), map(ne, ctx.degree_before, self.degree)) if ctx.touched_trees else ()
         for x in sorted(ctx.touched_nodes.union(changed)):
-            s = self.nodes[x]
-            if self.degree[x] > p.delta_cap:
-                bad.append(f"degree({x}) = {self.degree[x]} > {p.delta_cap}")
-            if s.large:
-                if len(s.working) <= p.theta:
-                    bad.append(f"node {x} large with |W| = {len(s.working)}")
-            else:
-                if len(s.working) > p.theta:
-                    bad.append(f"node {x} small with |W| = {len(s.working)}")
-                if s.table_ports(p.virtual_root_capacity) > p.delta_cap:
-                    bad.append(f"table({x}) overflows")
-                if len(s.helping) > 2 * p.c:
-                    bad.append(f"helper load({x}) = {len(s.helping)} > 2c")
+            self._check_node(x, self.degree[x], bad)
         for w in sorted(ctx.touched_trees):
             s = self.nodes[w]
             if s.large and s.tree is not None:
                 bad.extend(s.tree.check_structure())
         if self.total_ws > p.reset_threshold:
             bad.append(f"total working-set size {self.total_ws} > {p.reset_threshold}")
-        if not ctx.path_ok:
-            bad.append("path failed hop validation")
         if bad:
             raise InvariantError("; ".join(bad))
 
@@ -603,8 +559,18 @@ class Network:
         p = self.params
         bad: list[str] = []
         total_ws = 0
+        degree = degrees(self.edges, p.n)
+
+        def seated(x: int, owner: int, key: int) -> bool:
+            """Node x occupies `key` in the tree of the large node `owner`."""
+            t = self.nodes[owner].tree
+            return self.nodes[owner].large and t is not None and key in t and t.occupant_of(key) == x
+
         for x in range(p.n):
             s = self.nodes[x]
+            self._check_node(x, degree[x], bad)
+            if degree[x] != self.degree[x]:
+                bad.append(f"degree cache of node {x}: {self.degree[x]} != {degree[x]}")
             total_ws += len(s.working)
             for v in s.working:
                 if v == x:
@@ -612,8 +578,6 @@ class Network:
                 elif x not in self.nodes[v].working:
                     bad.append(f"working-set asymmetry {x} -> {v}")
             if s.large:
-                if len(s.working) <= p.theta:
-                    bad.append(f"node {x} large with |W| = {len(s.working)}")
                 if s.S or s.trees_in or s.helping:
                     bad.append(f"node {x} large with small-table leftovers")
                 if s.tree is None:
@@ -622,44 +586,18 @@ class Network:
                 bad.extend(s.tree.check_structure())
                 if set(s.tree.keys_inorder()) != s.working:
                     bad.append(f"tree({x}) keys differ from the working set")
-                if 1 + p.virtual_root_capacity > p.delta_cap:
-                    bad.append(f"table({x}) capacity exceeds the degree cap")
             else:
-                if len(s.working) > p.theta:
-                    bad.append(f"node {x} small with |W| = {len(s.working)}")
                 if s.tree is not None:
                     bad.append(f"node {x} small but owns a tree")
-                if s.table_ports(p.virtual_root_capacity) > p.delta_cap:
-                    bad.append(f"table({x}) = {s.table_ports(p.virtual_root_capacity)} ports > {p.delta_cap}")
-                if len(s.helping) > 2 * p.c:
-                    bad.append(f"helper load({x}) = {len(s.helping)} > 2c = {2 * p.c}")
                 for v in s.S:
                     if self.nodes[v].large or x not in self.nodes[v].S:
                         bad.append(f"direct link {x}-{v} is one-sided or to a large node")
                 for w in s.trees_in:
-                    t = self.nodes[w].tree
-                    if not self.nodes[w].large or t is None or x not in t or t.occupant_of(x) != x:
+                    if not seated(x, w, x):
                         bad.append(f"membership of {x} in tree({w}) is broken")
                 for (a, b) in s.helping:
-                    ok = (
-                        a < b
-                        and self.nodes[a].large
-                        and self.nodes[b].large
-                        and self.nodes[a].tree is not None
-                        and self.nodes[b].tree is not None
-                        and b in self.nodes[a].tree
-                        and a in self.nodes[b].tree
-                        and self.nodes[a].tree.occupant_of(b) == x
-                        and self.nodes[b].tree.occupant_of(a) == x
-                    )
-                    if not ok:
+                    if not (a < b and seated(x, a, b) and seated(x, b, a)):
                         bad.append(f"helper duty ({a}, {b}) of node {x} is inconsistent")
-        degree = degrees(self.edges, p.n)
-        for x in range(p.n):
-            if degree[x] != self.degree[x]:
-                bad.append(f"degree cache of node {x}: {self.degree[x]} != {degree[x]}")
-            if degree[x] > p.delta_cap:
-                bad.append(f"degree({x}) = {degree[x]} > {p.delta_cap}")
         if total_ws != self.total_ws:
             bad.append(f"total_ws cache {self.total_ws} != {total_ws}")
         if total_ws > p.reset_threshold:
@@ -778,6 +716,5 @@ def replay_trace(net: Network, trace: Trace) -> CostLedger:
     serve = net.serve_request
     append = ledger.append
     for u, v in zip(trace.src.tolist(), trace.dst.tolist()):
-        out = serve(u, v)
-        append(out.hops, out.adjust_cost, out.coord_cost, out.reset_cost)
+        append(*serve(u, v))
     return ledger

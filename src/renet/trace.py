@@ -77,7 +77,7 @@ class SparsityParams:
         if self.c <= 0:
             raise ValueError("c must be positive")
         if self.delta < 1:
-            raise ValueError("delta must be >= 1")
+            raise ValueError(f"delta must be >= 1, got {self.delta}")
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,7 @@ def run_with_sweeps(trace, c=C, validate_every=500):
     ledger = CostLedger()
     pairs = zip(trace.src.tolist(), trace.dst.tolist())
     for i, (u, v) in enumerate(pairs):
-        out = net.serve_request(u, v)
-        ledger.append(out.hops, out.adjust_cost, out.coord_cost, out.reset_cost)
+        ledger.append(*net.serve_request(u, v))
         if (i + 1) % validate_every == 0:
             bad = net.validate_invariants()
             assert not bad, f"request {i}: {bad[:3]}"
@@ -187,8 +186,7 @@ def torus_scaling_runs():
         net = Network(NetParams.make(n, C))
         ledger = CostLedger()
         for u, v in zip(trace.src.tolist(), trace.dst.tolist()):
-            out = net.serve_request(u, v)
-            ledger.append(out.hops, out.adjust_cost, out.coord_cost, out.reset_cost)
+            ledger.append(*net.serve_request(u, v))
         assert net.validate_invariants() == []
         results[n] = {
             "routing_avg": average_cost(ledger, include_coord=False),
@@ -227,8 +225,7 @@ def test_criterion_6_static_optimality_ratio():
         net = Network(NetParams.make(1024, C))
         ledger = CostLedger()
         for u, v in zip(trace.src.tolist(), trace.dst.tolist()):
-            out = net.serve_request(u, v)
-            ledger.append(out.hops, out.adjust_cost, out.coord_cost, out.reset_cost)
+            ledger.append(*net.serve_request(u, v))
         half = len(trace) // 2
         params = net.params
         rho_half = rho_estimate(
@@ -258,8 +255,7 @@ def test_criterion_7_reconfiguration_gap():
         net = Network(NetParams.make(n, C))
         ledger = CostLedger()
         for u, v in zip(trace.src.tolist(), trace.dst.tolist()):
-            out = net.serve_request(u, v)
-            ledger.append(out.hops, out.adjust_cost, out.coord_cost, out.reset_cost)
+            ledger.append(*net.serve_request(u, v))
         renet_avg = average_cost(ledger, include_coord=False)
         obl_avg = oblivious_cost(ObliviousNet.build(n), trace)
         ratios[n] = obl_avg / renet_avg
@@ -325,11 +321,11 @@ def test_criterion_9_reset_semantics():
     net = Network(params)
     net.debug_checks = True
     for u, v in ((0, 1), (2, 3), (4, 5), (6, 7)):
-        out = net.serve_request(u, v)
-        assert not out.reset_fired
+        _, _, _, reset = net.serve_request(u, v)
+        assert reset == 0
     assert net.total_ws == params.reset_threshold
-    out = net.serve_request(0, 2)  # the triggering route
-    fired_first = out.reset_fired and out.reset_cost == params.n and net.reset_count == 1
+    _, _, _, reset = net.serve_request(0, 2)  # the triggering route
+    fired_first = reset == params.n and net.reset_count == 1
     survivors = net.total_ws == 2 and net.edges == {(0, 2): 1}
 
     # direct reset: zero edges and every node small afterwards

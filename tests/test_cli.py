@@ -94,11 +94,38 @@ def test_unknown_tree_mode_exits_two(tmp_path, capsys, flag, workload):
 @pytest.mark.parametrize("args, words", [
     (["--workload", "torus", "--n", "10"], "perfect square"),
     (["--workload", "torus", "--n", "16", "--reps", "0"], "reps"),
+    (["--workload", "star", "--n", "64", "--delta", "-1"], "delta must be >= 1, got -1"),
+    (["--workload", "star", "--n", "64", "--c", "inf"], "c must be finite, got inf"),
+    (["--workload", "star", "--n", "64", "--c", "nan"], "c must be finite, got nan"),
+    (["--workload", "star", "--n", "64", "--baselines", "stat,bogus"], "'stat,bogus'"),
 ])
 def test_bad_run_config_exits_two(tmp_path, capsys, args, words):
-    assert run_cli("run", *args, "--m", "100", "--c", "4", "--out", str(tmp_path / "o")) == 2
+    # the case's own flags come last, so they win over the defaults
+    assert run_cli("run", "--m", "100", "--c", "4", *args, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and words in err[0]
+
+
+@pytest.mark.parametrize("body, words", [
+    ('{"n": "abc"}', "config key n must be of type int, got 'abc'"),
+    ('{"n": true}', "config key n must be of type int, got True"),
+    ('{"c": "4"}', "config key c must be of type float, got '4'"),
+    ("[1", "is not valid JSON"),
+], ids=["string-for-int", "bool-for-int", "string-for-float", "not-json"])
+def test_bad_config_file_exits_two(tmp_path, capsys, body, words):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body)
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and words in err[0]
+
+
+def test_empty_baselines_run_none(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("run", "--workload", "star", "--n", "64", "--m", "100", "--baselines", "",
+                   "--out", str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert "stat_avg" not in summary and "oblivious_avg" not in summary
 
 
 @pytest.mark.parametrize("command", [

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,21 +73,20 @@ def test_new_network_is_empty():
 
 def test_first_contact_small_small():
     net = fresh(8, 1)
-    out = net.serve_request(1, 2)
-    assert out.hops == 1
-    assert out.adjust_cost == 1
-    assert out.coord_cost == 2 * net.params.D
-    assert out.path == [1, 2] and out.path_ok
-    assert not out.reset_fired
+    hops, adjust, coord, reset = net.serve_request(1, 2)
+    assert hops == 1
+    assert adjust == 1
+    assert coord == 2 * net.params.D
+    assert reset == 0
+    # under debug checks a failed hop or a packet stopped short would have raised
+    assert net.path_failures == 0
 
 
 def test_repeat_request_costs_one_hop():
     net = fresh(8, 1)
     net.serve_request(1, 2)
-    out = net.serve_request(1, 2)
-    assert (out.hops, out.adjust_cost, out.coord_cost) == (1, 0, 0)
-    out = net.serve_request(2, 1)  # direct links work in both directions
-    assert (out.hops, out.adjust_cost, out.coord_cost) == (1, 0, 0)
+    assert net.serve_request(1, 2) == (1, 0, 0, 0)
+    assert net.serve_request(2, 1) == (1, 0, 0, 0)  # direct links work in both directions
 
 
 def test_large_source_pays_tree_depth():
@@ -96,9 +96,9 @@ def test_large_source_pays_tree_depth():
     target = max((tree.depth(k), k) for k in tree.keys_inorder())[1]
     d = tree.depth(target)
     assert d >= 1
-    out = net.serve_request(0, target)
-    assert out.hops == d + 1
-    assert out.adjust_cost >= d // 2  # the delivery splay lifts the entry
+    hops, adjust, _, _ = net.serve_request(0, target)
+    assert hops == d + 1
+    assert adjust >= d // 2  # the delivery splay lifts the entry
     assert tree.root.key == target
 
 
@@ -110,27 +110,27 @@ def test_serve_rejects_bad_requests():
         net.serve_request(0, 8)
 
 
-# -- add_route case analysis ------------------------------------------------------
+# -- route additions (the coordinator runs on a request's first contact) ----------
 
 
 def test_add_route_small_small():
     net = fresh(8, 1)
-    out = net.add_route(1, 2)
+    _, adjust, coord, _ = net.serve_request(1, 2)
     assert 2 in net.nodes[1].S and 1 in net.nodes[2].S
     assert net.edges == {(1, 2): 1}
-    assert out.adjust_cost == 1 and out.coord_cost == 2 * net.params.D
-    # adding the same pair again is a no-op beyond the notification
-    again = net.add_route(1, 2)
-    assert again.adjust_cost == 0
+    assert adjust == 1 and coord == 2 * net.params.D
+    # the same pair again changes no link
+    _, adjust, _, _ = net.serve_request(1, 2)
+    assert adjust == 0
     assert net.edges == {(1, 2): 1}
 
 
 def test_add_route_triggers_make_large_at_threshold():
     net = fresh(16, 0.5)  # theta = 2
-    net.add_route(0, 3)
-    net.add_route(0, 4)
+    net.serve_request(0, 3)
+    net.serve_request(0, 4)
     assert not net.nodes[0].large
-    net.add_route(0, 5)  # |W(0)| = 3 = theta + 1
+    net.serve_request(0, 5)  # |W(0)| = 3 = theta + 1
     assert net.nodes[0].large
     assert set(net.nodes[0].tree.keys_inorder()) == {3, 4, 5}
     for v in (3, 4, 5):
@@ -144,13 +144,13 @@ def test_add_route_large_large_assigns_least_loaded_helper():
     grow_large(net, 0, (10, 11, 12))
     grow_large(net, 1, (13, 14, 15))
     grow_large(net, 2, (16, 17, 18))
-    net.add_route(0, 1)
+    net.serve_request(0, 1)
     h1 = net.nodes[0].tree.occupant_of(1)
     assert h1 == net.nodes[1].tree.occupant_of(0)
     assert h1 == 3  # smallest small id
     assert (0, 1) in net.nodes[h1].helping
     # 2c = 1 pair for c = 0.5: node 3 is now at capacity and must be skipped
-    net.add_route(0, 2)
+    net.serve_request(0, 2)
     h2 = net.nodes[0].tree.occupant_of(2)
     assert h2 == 4
     assert net.find_helper(1, 2) == 5
@@ -317,16 +317,6 @@ def test_make_large_sheds_helper_duties_first():
     assert net.validate_invariants() == []
 
 
-def test_make_large_preconditions():
-    net = fresh(16, 0.5)
-    grow_large(net, 0, (3, 4, 5))
-    with pytest.raises(ValueError):
-        net.make_large(0)  # already large
-    net.add_route(6, 7)
-    with pytest.raises(ValueError):
-        net.make_large(6)  # working set below the threshold
-
-
 # -- reset -----------------------------------------------------------------------
 
 
@@ -352,8 +342,8 @@ def test_route_reaching_threshold_resets_first():
     net.serve_request(0, 1)
     net.serve_request(2, 3)
     assert net.total_ws == net.params.reset_threshold
-    out = net.serve_request(0, 2)  # the triggering route
-    assert out.reset_fired and out.reset_cost == 4
+    _, _, _, reset = net.serve_request(0, 2)  # the triggering route
+    assert reset == 4  # one reset, n = 4
     assert net.reset_count == 1
     # post-reset the triggering pair is the only surviving state
     assert net.total_ws == 2 and net.edges == {(0, 2): 1}
@@ -377,7 +367,8 @@ def test_degree_overflow_sheds_a_virtual_root(monkeypatch):
     net = fresh(32, 0.5)
     pairs = [(15, 31), (26, 15), (15, 29), (8, 15), (8, 12), (8, 0), (15, 0), (15, 30), (30, 8), (15, 8)]
     for u, v in pairs:
-        assert net.serve_request(u, v).path_ok
+        net.serve_request(u, v)
+    assert net.path_failures == 0
     assert evicted
     for owner, key in evicted:
         assert key not in net.nodes[owner].tree.virtual_roots()
@@ -410,6 +401,57 @@ def test_debug_sweep_catches_degree_overflow_on_tree_occupant():
     with pytest.raises(InvariantError, match=rf"degree\({root}\) = \d+ > {net.params.delta_cap}"):
         net.serve_request(0, target)
     assert net.degree[root] < injected
+
+
+# -- the per-node rules, by fault injection --------------------------------------------
+
+
+def assert_node_fault_caught(net, u, v, pattern):
+    """The next request touching the corrupted node trips the debug sweep,
+    and the full validation lists the same fault."""
+    with pytest.raises(InvariantError, match=pattern):
+        net.serve_request(u, v)
+    assert any(re.fullmatch(pattern, line) for line in net.validate_invariants())
+
+
+def test_node_rule_degree_over_cap():
+    net = fresh(32, 0.5, virtual_root_capacity=0)  # degree cap 12
+    tree = grow_large(net, 0, (3, 4, 5))
+    root = tree.root.key
+    target = next(k for k in tree.keys_inorder() if k != root)
+    # thirteen more direct links at the root's occupant, both ends recorded;
+    # the splay lowers its degree, so the sweep looks at it
+    for w in range(10, 23):
+        net.nodes[root].S.add(w)
+        net.nodes[w].S.add(root)
+        net.degree[root] += 1
+        net.degree[w] += 1
+    assert_node_fault_caught(net, 0, target, rf"degree\({root}\) = \d+ > 12")
+
+
+def test_node_rule_large_node_within_theta():
+    net = fresh(32, 0.5)  # theta 2
+    grow_large(net, 0, (3, 4, 5))
+    net.nodes[0].working -= {4, 5}  # the request below brings |W(0)| back to 2 only
+    assert_node_fault_caught(net, 0, 6, r"node 0 large with \|W\| = 2")
+
+
+def test_node_rule_small_node_past_theta():
+    net = fresh(32, 0.5)  # theta 2
+    net.nodes[1].working |= {20, 21, 22}
+    assert_node_fault_caught(net, 1, 2, r"node 1 small with \|W\| = 4")
+
+
+def test_node_rule_table_over_budget():
+    net = fresh(32, 0.5)  # degree cap 12
+    net.nodes[1].trees_in |= {20, 21, 22, 23, 24}  # fifteen ports, plus the link to 2
+    assert_node_fault_caught(net, 1, 2, r"table\(1\) = 16 ports > 12")
+
+
+def test_node_rule_helper_load_over_2c():
+    net = fresh(32, 1)  # 2c = 2, degree cap 24: three duties still fit the table
+    net.nodes[1].helping |= {(20, 21), (22, 23), (24, 25)}
+    assert_node_fault_caught(net, 1, 2, r"helper load\(1\) = 3 > 2c = 2")
 
 
 # -- invariants and snapshots --------------------------------------------------------
@@ -454,7 +496,7 @@ def assert_hop_fault_caught(net, u, v, debug):
         with pytest.raises(InvariantError):
             net.serve_request(u, v)
     else:
-        assert not net.serve_request(u, v).path_ok
+        net.serve_request(u, v)
         assert net.path_failures == 1
 
 
@@ -567,10 +609,11 @@ def test_mid_route_reset_restarts_from_source():
     for v in (2, 3, 4):
         net.serve_request(0, v)   # 0 large, six seats
     net.serve_request(5, 6)       # eight seats: full
-    out = net.serve_request(0, 7)  # miss inside tree(0) fires the reset
-    assert out.reset_fired
-    assert out.path == [0, 7] and out.path_ok
-    assert out.hops > 1  # hops spent inside the torn-down tree still count
+    hops, _, _, reset = net.serve_request(0, 7)  # miss inside tree(0) fires the reset
+    assert reset == net.params.n
+    assert net.path_failures == 0
+    assert net.nodes[0].S == {7}  # the retransmit took the fresh direct link
+    assert hops > 1  # hops spent inside the torn-down tree still count
     assert net.validate_invariants() == []
 
 
@@ -587,10 +630,10 @@ def test_anchor_seat_handoff_mid_route_restarts():
     assert (0, 10) in net.nodes[1].helping
     net.serve_request(1, 20)
     net.serve_request(1, 21)           # |W(1)| = 2: one short of the threshold
-    out = net.serve_request(0, 1)      # miss at key 10 (occupied by node 1)
+    net.serve_request(0, 1)            # miss at key 10 (occupied by node 1)
     assert net.nodes[1].large          # the request itself converted node 1
     assert t0.occupant_of(10) != 1     # seat handed over
-    assert out.path_ok and out.path[0] == 0 and out.path[-1] == 1
+    assert net.path_failures == 0      # every hop checked, and the packet reached 1
     assert net.validate_invariants() == []
 
 
@@ -618,7 +661,6 @@ def test_soak_random_traffic_keeps_invariants(pairs, c, vr_cap):
     net = Network(NetParams.make(10, c, virtual_root_capacity=vr_cap))
     net.debug_checks = True
     for u, v in pairs:
-        out = net.serve_request(u, v)
-        assert out.path_ok
-        assert out.path[0] == u and out.path[-1] == v
+        net.serve_request(u, v)  # raises on a failed hop or a packet stopped short of v
+    assert net.path_failures == 0
     assert net.validate_invariants() == []
