@@ -4,8 +4,10 @@ The oblivious baseline is an undirected binary de Bruijn graph: degree at
 most four, diameter exactly log2 of the (power-of-two rounded) vertex count,
 and fully deterministic, so no randomness leaks into comparisons.  Nodes map
 to vertices by the identity embedding, deliberately ignoring the demand.  Its
-cost is priced by one level-synchronous numpy BFS per block of up to
-`BFS_BLOCK` distinct sources, over a fixed [vertex, 4] neighbour array.
+cost is priced per (src, dst) pair: one level-synchronous numpy BFS per block
+of up to `BFS_BLOCK` distinct sources, whose frontiers hold one bit per source
+in uint64 words over a fixed [vertex, 4] neighbour array, and which reads only
+the bits of the asked pairs at each level.
 
 The static baseline knows the whole trace in advance: it classifies nodes
 with the same working-set threshold, wires small-small pairs directly, gives
@@ -29,7 +31,7 @@ from .network import HelperExhaustion, NetParams, Network, degrees
 from .trace import Trace
 
 
-BFS_BLOCK = 128  # sources per BFS in `oblivious_cost`: ~2 MiB of state at n=4096
+BFS_BLOCK = 1024  # sources per BFS in `oblivious_cost`: 512 KiB per bit array at n=4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,39 +62,57 @@ class ObliviousNet:
     def max_degree(self) -> int:
         return int((self.neighbours != np.arange(self.size)[:, None]).sum(axis=1).max())
 
-    def distances_from(self, sources) -> np.ndarray:
-        """Hop distances from every `sources[i]` at once, as int16 [vertex, i].
+    def distances_from(self, sources, targets) -> np.ndarray:
+        """Hop distance of each pair (sources[i], targets[i]), as int64 [i].
 
-        One level-synchronous BFS: rows are vertices, so each gather copies whole rows."""
-        dist = np.full((self.size, len(sources)), -1, dtype=np.int16)
-        dist[np.asarray(sources, dtype=np.intp), np.arange(len(sources))] = 0
-        frontier = dist == 0
+        One level-synchronous BFS from the distinct sources at once: row v of
+        the frontier holds one bit per source, packed in uint64 words, so each
+        level ORs four gathered copies of whole rows.  Only the bits of the
+        still unresolved pairs are read; no distance matrix is kept.
+        """
+        sources = np.asarray(sources, dtype=np.intp)
+        targets = np.asarray(targets, dtype=np.intp)
+        uniq, col = np.unique(sources, return_inverse=True)
+        j = np.arange(len(uniq))
+        one_hot = np.uint64(1) << (j & 63).astype(np.uint64)
+        frontier = np.zeros((self.size, (len(uniq) + 63) // 64), dtype=np.uint64)
+        frontier[uniq, j >> 6] = one_hot
+        seen = frontier.copy()
+        cell = targets * frontier.shape[1] + (col >> 6)  # flat index of each pair's word
+        bit = one_hot[col]
+        dist = np.full(len(sources), -1, dtype=np.int64)
+        pending = np.arange(len(sources))
         nb = self.neighbours
         d = 0
-        while frontier.any():
+        while True:
+            hit = (frontier.reshape(-1)[cell[pending]] & bit[pending]) != 0
+            dist[pending[hit]] = d
+            pending = pending[~hit]
+            if not len(pending):
+                return dist
             d += 1
             frontier = frontier[nb[:, 0]] | frontier[nb[:, 1]] | frontier[nb[:, 2]] | frontier[nb[:, 3]]
-            frontier &= dist < 0
-            dist[frontier] = d
-        return dist
+            frontier &= ~seen
+            if not frontier.any():
+                raise ValueError(f"{len(pending)} pairs unreachable after {d - 1} hops: the net is disconnected")
+            seen |= frontier
 
     def diameter(self) -> int:
-        return int(self.distances_from(np.arange(self.size)).max())
+        every = np.arange(self.size)
+        return int(self.distances_from(np.repeat(every, self.size), np.tile(every, self.size)).max())
 
 
 def oblivious_cost(net: ObliviousNet, trace: Trace) -> float:
     """Average shortest-path length of the trace under the identity embedding."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    counts = trace.pair_counts()
-    pairs = np.array(list(counts), dtype=np.intp)
-    cnt = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-    sources, col = np.unique(pairs[:, 0], return_inverse=True)
+    codes, cnt = np.unique(trace.src * np.int64(trace.n) + trace.dst, return_counts=True)
+    src, dst = np.divmod(codes, trace.n)  # pairs sorted by source
+    sources = np.unique(src)
+    bounds = np.searchsorted(src, sources[::BFS_BLOCK]).tolist() + [len(src)]
     total = 0
-    for start in range(0, len(sources), BFS_BLOCK):
-        dist = net.distances_from(sources[start:start + BFS_BLOCK])
-        sel = (col >= start) & (col < start + BFS_BLOCK)
-        total += int((dist[pairs[sel, 1], col[sel] - start] * cnt[sel]).sum())
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        total += int((net.distances_from(src[a:b], dst[a:b]) * cnt[a:b]).sum())
     return total / len(trace)
 
 

@@ -76,9 +76,10 @@ class NetParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least two nodes")
+        theta = self._theta_for(self.c)
         if not self.c >= 0.5:
             raise ValueError(f"sparsity constant c must be >= 0.5 so that 2c >= 1, got {self.c}")
-        if self.theta != max(2, math.ceil(4 * self.c)):
+        if self.theta != theta:
             raise ValueError(f"theta must be ceil(4c) >= 2, got {self.theta}")
         if self.delta_cap != 6 * self.theta:
             raise ValueError("degree cap must equal 6 * theta")
@@ -90,6 +91,13 @@ class NetParams:
             raise ValueError("oblivious message cost D must be >= 1")
         check_tree_modes(self.rotation_accounting, self.vr_policy)
 
+    @staticmethod
+    def _theta_for(c: float) -> int:
+        """θ = max(2, ⌈4c⌉) for a finite c (a snapshot may carry an infinite or NaN one)."""
+        if not math.isfinite(c):
+            raise ValueError(f"sparsity constant c must be finite, got {c}")
+        return max(2, math.ceil(4 * c))
+
     @classmethod
     def make(
         cls,
@@ -100,9 +108,7 @@ class NetParams:
         virtual_root_capacity: Optional[int] = None,
         vr_policy: str = "lru",
     ) -> "NetParams":
-        if not math.isfinite(c):
-            raise ValueError(f"sparsity constant c must be finite, got {c}")
-        theta = max(2, math.ceil(4 * c))
+        theta = cls._theta_for(c)
         delta_cap = 6 * theta
         return cls(
             n=n,
@@ -710,11 +716,17 @@ def _check_snapshot_ids(snap: dict, n: int) -> None:
         raise ValueError(f"node id {bad[0]} outside [0, {n})")
 
 
+REPLAY_SLICE = 4096
+
+
 def replay_trace(net: Network, trace: Trace) -> CostLedger:
     """Serve a whole trace in order, collecting the per-request cost ledger."""
     ledger = CostLedger()
     serve = net.serve_request
     append = ledger.append
-    for u, v in zip(trace.src.tolist(), trace.dst.tolist()):
-        append(*serve(u, v))
+    src, dst = trace.src, trace.dst
+    # slices keep only REPLAY_SLICE requests as Python ints alive at a time
+    for a in range(0, len(trace), REPLAY_SLICE):
+        for u, v in zip(src[a:a + REPLAY_SLICE].tolist(), dst[a:a + REPLAY_SLICE].tolist()):
+            append(*serve(u, v))
     return ledger

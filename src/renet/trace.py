@@ -90,36 +90,34 @@ class SparsityReport:
 def sparsity_check(trace: Trace, params: SparsityParams) -> SparsityReport:
     """Check that every window of length <= delta has <= c*n unique pairs.
 
-    Single sliding-window pass with a pair multiset; every shorter window is
-    contained in some full-length window, so scanning those suffices.
+    The distinct-pair count of the sliding window ending at request i moves by
+    +1 when pair i did not occur in the previous delta requests, and by -1 when
+    request i - delta leaves and its pair does not recur up to i.  Both tests
+    need only each request's previous and next occurrence of its pair, read
+    off one stable sort of the pair codes; the running count is their cumsum.
+    Every shorter window is contained in some full-length window, so scanning
+    those suffices.  The worst window is the first to reach the maximum.
     An empty trace passes vacuously.
     """
-    pairs = trace.pairs()
-    cap = params.c * trace.n
-    if not pairs:
+    m = len(trace)
+    if not m:
         return SparsityReport(ok=True, worst_window_start=0, worst_unique_pairs=0)
-    counts: dict[Request, int] = {}
-    distinct = 0
-    worst = 0
-    worst_start = 0
-    delta = params.delta
-    for i, pair in enumerate(pairs):
-        prev = counts.get(pair, 0)
-        counts[pair] = prev + 1
-        if prev == 0:
-            distinct += 1
-        if i >= delta:
-            old = pairs[i - delta]
-            left = counts[old] - 1
-            if left == 0:
-                del counts[old]
-                distinct -= 1
-            else:
-                counts[old] = left
-        if distinct > worst:
-            worst = distinct
-            worst_start = max(0, i - delta + 1)
-    return SparsityReport(ok=worst <= cap, worst_window_start=worst_start, worst_unique_pairs=worst)
+    delta = min(params.delta, m)  # a longer window holds the same pairs as the whole trace
+    codes = trace.src * np.int64(trace.n) + trace.dst
+    order = np.argsort(codes, kind="stable")
+    again = codes[order[1:]] == codes[order[:-1]]  # order[k + 1] is the next occurrence of order[k]'s pair
+    prev = np.full(m, -1, dtype=np.int64)
+    prev[order[1:][again]] = order[:-1][again]
+    nxt = np.full(m, m, dtype=np.int64)
+    nxt[order[:-1][again]] = order[1:][again]
+    i = np.arange(m)
+    step = (prev < np.maximum(i - delta, 0)).astype(np.int64)
+    step[delta:] -= nxt[:m - delta] > i[delta:]  # request i - delta leaves the window
+    distinct = np.cumsum(step)
+    end = int(np.argmax(distinct))
+    worst = int(distinct[end])
+    return SparsityReport(ok=worst <= params.c * trace.n, worst_window_start=max(0, end - delta + 1),
+                          worst_unique_pairs=worst)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from renet import baselines
 from renet.baselines import (
     ObliviousNet,
     StaticBuildError,
@@ -64,34 +65,65 @@ def reference_cost(net, trace):
     return sum(rows[u][v] * cnt for (u, v), cnt in trace.pair_counts().items()) / len(trace)
 
 
+def all_pairs(sources, size):
+    """Every (source, target) pair, targets 0..size-1 for each listed source in turn."""
+    return np.repeat(sources, size), np.tile(np.arange(size), len(sources))
+
+
 def test_oblivious_distances_within_diameter():
     net = ObliviousNet.build(8)
-    dist = net.distances_from(range(8))
-    assert dist.shape == (8, 8)
+    dist = net.distances_from(*all_pairs(range(8), 8))
+    assert dist.shape == (64,)
     assert int(dist.max()) <= 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 10, 64, 100])
 def test_batched_bfs_matches_single_source_bfs(n):
     net = ObliviousNet.build(n)
-    sources = [0, net.size - 1, 1, 0]  # a repeated source gets its own column too
-    dist = net.distances_from(sources)
-    assert dist.dtype == np.int16 and dist.shape == (net.size, len(sources))
+    sources = [0, net.size - 1, 1, 0]  # a repeated source shares one bit, and each pair is still read
+    dist = net.distances_from(*all_pairs(sources, net.size))
+    assert dist.dtype == np.int64 and dist.shape == (len(sources) * net.size,)
     for i, src in enumerate(sources):
-        assert dist[:, i].tolist() == reference_distances(net, src)
-    every = net.distances_from(range(net.size))
+        assert dist[i * net.size:(i + 1) * net.size].tolist() == reference_distances(net, src)
+    every = net.distances_from(*all_pairs(range(net.size), net.size)).reshape(net.size, net.size)
     for src in range(net.size):
-        assert every[:, src].tolist() == reference_distances(net, src)
+        assert every[src].tolist() == reference_distances(net, src)
+
+
+def test_distances_from_reads_pairs_in_any_order():
+    net = ObliviousNet.build(100)
+    rng = np.random.default_rng(2)
+    src = rng.integers(0, net.size, size=500)
+    dst = rng.integers(0, net.size, size=500)
+    rows = {u: reference_distances(net, u) for u in set(src.tolist())}
+    assert net.distances_from(src, dst).tolist() == [rows[u][v] for u, v in zip(src.tolist(), dst.tolist())]
+
+
+def test_distances_from_disconnected_net_raises():
+    # a hand-built path 0-1-2 plus a vertex 3 linked only to itself: BFS from 0 never reaches it
+    nb = np.array([[1, 0, 0, 0], [0, 2, 1, 1], [1, 2, 2, 2], [3, 3, 3, 3]])
+    net = ObliviousNet(n=4, k=2, neighbours=nb)
+    assert net.distances_from([0, 0], [2, 1]).tolist() == [2, 1]
+    with pytest.raises(ValueError, match="unreachable"):
+        net.distances_from([0, 0], [2, 3])
 
 
 @pytest.mark.parametrize("n, spec", [
-    (300, UniformPairs(300, 5000)),   # 300 distinct sources: three BFS blocks
+    (300, UniformPairs(300, 5000)),   # 300 distinct sources: five bit words in one block
     (256, StarZipf(256, 4000, 1.0)),
     (400, Torus(400, 6000)),          # n not a power of two
 ])
 def test_oblivious_cost_equals_per_pair_sum(n, spec):
     tr = generate(spec, seed=11)
     net = ObliviousNet.build(n)
+    assert oblivious_cost(net, tr) == reference_cost(net, tr)
+
+
+@pytest.mark.parametrize("block", [1, 63, 64, 65, 100])
+def test_oblivious_cost_across_block_and_word_boundaries(monkeypatch, block):
+    monkeypatch.setattr(baselines, "BFS_BLOCK", block)
+    tr = generate(UniformPairs(300, 5000), seed=11)  # 300 distinct sources
+    net = ObliviousNet.build(300)
     assert oblivious_cost(net, tr) == reference_cost(net, tr)
 
 

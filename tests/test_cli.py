@@ -268,6 +268,21 @@ def test_validate_rejects_out_of_range_node_ids(tmp_path, capsys, corrupt):
     assert len(err) == 1 and err[0].startswith("cannot load snapshot:") and "outside [0, 16)" in err[0]
 
 
+@pytest.mark.parametrize("c", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_validate_rejects_non_finite_c(tmp_path, capsys, c):
+    # json writes and reads Infinity and NaN, so a snapshot can carry them
+    out = tmp_path / "out"
+    assert run_cli("run", "--workload", "star", "--n", "16", "--m", "300", "--c", "1", "--out", str(out)) == 0
+    snap = json.loads((out / "snapshot.json").read_text())
+    snap["params"]["c"] = c
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(snap))
+    capsys.readouterr()
+    assert run_cli("validate", str(bad_path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == f"cannot load snapshot: sparsity constant c must be finite, got {c}"
+
+
 def test_debug_env_enables_per_request_sweeps(tmp_path, monkeypatch):
     monkeypatch.setenv("RENET_DEBUG_INVARIANTS", "1")
     out = tmp_path / "out"

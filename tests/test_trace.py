@@ -10,6 +10,7 @@ from renet.trace import (
     ProductDist,
     RoundRobinGrids,
     SparsityParams,
+    SparsityReport,
     StarZipf,
     Torus,
     Trace,
@@ -54,6 +55,28 @@ def test_pair_counts():
 # -- sparsity -----------------------------------------------------------------
 
 
+def loop_sparsity(trace, params):
+    """The sliding-window pass with a pair multiset, one request at a time."""
+    pairs = trace.pairs()
+    counts = {}
+    distinct = worst = worst_start = 0
+    for i, pair in enumerate(pairs):
+        prev = counts.get(pair, 0)
+        counts[pair] = prev + 1
+        if prev == 0:
+            distinct += 1
+        if i >= params.delta:
+            old = pairs[i - params.delta]
+            counts[old] -= 1
+            if counts[old] == 0:
+                del counts[old]
+                distinct -= 1
+        if distinct > worst:
+            worst = distinct
+            worst_start = max(0, i - params.delta + 1)
+    return SparsityReport(ok=worst <= params.c * trace.n, worst_window_start=worst_start, worst_unique_pairs=worst)
+
+
 def test_sparsity_cycle_passes():
     pairs = [(1, 2), (2, 3), (3, 0), (0, 1)] * 10
     rep = sparsity_check(Trace.from_pairs(4, pairs), SparsityParams(c=1, delta=8))
@@ -89,6 +112,36 @@ def test_sparsity_monotonicity(pairs, c, delta):
     if base.ok:
         assert sparsity_check(tr, SparsityParams(c + 1.0, delta)).ok
         assert sparsity_check(tr, SparsityParams(c, max(1, delta // 2))).ok
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda p: p[0] != p[1]),
+        max_size=60,
+    ),
+    st.floats(0.2, 3.0),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_sparsity_matches_loop_oracle(pairs, c, data):
+    delta = data.draw(st.integers(1, len(pairs) + 3))
+    tr = Trace.from_pairs(6, pairs)
+    params = SparsityParams(c, delta)
+    rep = sparsity_check(tr, params)
+    assert rep == loop_sparsity(tr, params)
+    assert type(rep.worst_unique_pairs) is int and type(rep.worst_window_start) is int
+
+
+@pytest.mark.parametrize("spec", [
+    Torus(1024, 20000),
+    ProductDist(256, 20000, tuple(zipf_weights(256, 1.0)), tuple(zipf_weights(256, 0.5))),
+    StarZipf(256, 20000, 1.0),
+], ids=["torus", "product", "star"])
+def test_sparsity_matches_loop_oracle_on_generated_traces(spec):
+    tr = generate(spec, seed=3)
+    for delta in (1, 1000, len(tr), 2**70):
+        params = SparsityParams(1.0, delta)
+        assert sparsity_check(tr, params) == loop_sparsity(tr, params)
 
 
 # -- demand weights --------------------------------------------------------------
