@@ -270,16 +270,13 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 def cmd_compare(cfg: ExperimentConfig) -> int:
     if not cfg.n_list:
-        print("compare needs --n-list, e.g. --n-list 64,256", file=sys.stderr)
-        return 2
+        raise ConfigError("compare needs --n-list, e.g. --n-list 64,256")
     try:
         sizes = [int(x) for x in cfg.n_list.split(",") if x.strip()]
-    except ValueError:
-        print(f"bad --n-list {cfg.n_list!r}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise ConfigError(f"bad --n-list {cfg.n_list!r}") from exc
     if not sizes:
-        print("empty --n-list", file=sys.stderr)
-        return 2
+        raise ConfigError("empty --n-list")
     names = [w.strip() for w in (cfg.workloads or cfg.workload).split(",") if w.strip()]
     base = Path(cfg.out)
     base.mkdir(parents=True, exist_ok=True)

@@ -16,13 +16,15 @@ once the operation has finished.
 
 Routes return the entries they walked, so a caller can check every hop
 against the parent pointers instead of taking the walk's word for it.
+Results (`TreeCost`, `DownRoute`, `UpRoute`) are plain slotted records,
+built once per operation on the request path, so they carry no dataclass
+machinery.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 UNIT = "unit"
@@ -46,20 +48,24 @@ def edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass
 class TreeCost:
-    link_changes: int = 0
-    rotations: int = 0
+    __slots__ = ("link_changes", "rotations")
+
+    def __init__(self, link_changes: int, rotations: int):
+        self.link_changes = link_changes
+        self.rotations = rotations
 
 
-@dataclass(frozen=True)
 class DownRoute:
     """Result of a root-to-key search walk."""
 
-    hit: bool
-    # entries visited, root (or virtual root) first; on a miss the last one
-    # is the anchor, whose missing child the key would occupy
-    entries: list
+    __slots__ = ("hit", "entries")
+
+    def __init__(self, hit: bool, entries: list):
+        self.hit = hit
+        # entries visited, root (or virtual root) first; on a miss the last
+        # one is the anchor, whose missing child the key would occupy
+        self.entries = entries
 
     @property
     def path(self) -> list:
@@ -67,12 +73,14 @@ class DownRoute:
         return [e.occupant for e in self.entries]
 
 
-@dataclass(frozen=True)
 class UpRoute:
     """Result of a key-to-owner parent walk."""
 
-    entries: list  # the start entry, then its ancestors up to the root
-    owner: int
+    __slots__ = ("entries", "owner")
+
+    def __init__(self, entries: list, owner: int):
+        self.entries = entries  # the start entry, then its ancestors up to the root
+        self.owner = owner
 
     @property
     def path(self) -> list:

@@ -27,6 +27,12 @@ only the packet's current position, not its path, and the packet must end
 at its destination.  A served request returns its ledger row and leaves no
 other record.
 
+A network keeps one request context (the packet's position and the row's
+four counters) and resets it per request; only a debug-checked request
+builds a fresh one, since it also copies the start degrees.  A tree's
+over-cap nodes are read, and shed, only after an operation that reported
+one.
+
 Helpers are picked from an index of small nodes bucketed by helper load,
 rebuilt lazily after each reset (see `find_helper`).
 
@@ -171,6 +177,7 @@ class Network:
         self.path_failures = 0
         self.debug_checks = False
         self._helper_levels: Optional[list[list[int]]] = None  # see find_helper
+        self._ctx = _Ctx(0)  # reset by each request that runs without debug checks
 
     # -- tree operations and the degree cap ----------------------------------
 
@@ -178,7 +185,8 @@ class Network:
         """Charge one finished tree operation, then enforce the degree cap on
         the nodes it pushed over; a spike mid-rotation sheds nothing."""
         ctx.adjust += cost.link_changes
-        self._shed_virtual_roots(ctx, tree.take_edge_changes())
+        if tree._over:
+            self._shed_virtual_roots(ctx, tree.take_edge_changes())
         if ctx.debug:
             ctx.touched_trees.add(tree.owner)
 
@@ -230,8 +238,15 @@ class Network:
         """Route one request, self-adjust, and account all costs; returns the
         ledger row (hops, adjust, coord, reset).  The hop checks follow the
         packet's position only; a failed one counts in `path_failures`."""
-        self._check_ids(u, v)
-        ctx = _Ctx(u, self.degree if self.debug_checks else None)
+        n = self.params.n
+        if not (0 <= u < n and 0 <= v < n and u != v):
+            self._check_ids(u, v)
+        if self.debug_checks:
+            ctx = _Ctx(u, self.degree)  # the sweep needs the start degrees
+        else:
+            ctx = self._ctx
+            ctx.hops = ctx.adjust = ctx.coord = ctx.reset_cost = 0
+            ctx.at = u
         self._route(ctx, u, v, 0)
         if ctx.at != v:
             self._path_failed(f"packet for {v} stopped at {ctx.at}")
@@ -723,10 +738,17 @@ def replay_trace(net: Network, trace: Trace) -> CostLedger:
     """Serve a whole trace in order, collecting the per-request cost ledger."""
     ledger = CostLedger()
     serve = net.serve_request
-    append = ledger.append
+    add_hops, add_adjust = ledger.hops.append, ledger.adjust.append
+    add_coord, add_reset = ledger.coord.append, ledger.reset.append
     src, dst = trace.src, trace.dst
     # slices keep only REPLAY_SLICE requests as Python ints alive at a time
-    for a in range(0, len(trace), REPLAY_SLICE):
-        for u, v in zip(src[a:a + REPLAY_SLICE].tolist(), dst[a:a + REPLAY_SLICE].tolist()):
-            append(*serve(u, v))
+    for start in range(0, len(trace), REPLAY_SLICE):
+        stop = start + REPLAY_SLICE
+        for u, v in zip(src[start:stop].tolist(), dst[start:stop].tolist()):
+            hops, adjust, coord, reset = serve(u, v)
+            add_hops(hops)
+            add_adjust(adjust)
+            add_coord(coord)
+            add_reset(reset)
+    ledger.reset_marks = list(compress(count(), ledger.reset))
     return ledger

@@ -206,8 +206,20 @@ def test_compare_command(tmp_path):
     assert len(lines) == 1 + 4
 
 
-def test_compare_requires_n_list(tmp_path):
+def test_compare_requires_n_list(tmp_path, capsys):
     assert run_cli("compare", "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: compare needs --n-list")
+
+
+@pytest.mark.parametrize("n_list, words", [
+    ("64,x", "bad --n-list '64,x'"),
+    (" , ", "empty --n-list"),
+])
+def test_compare_bad_n_list_exits_two(tmp_path, capsys, n_list, words):
+    assert run_cli("compare", "--n-list", n_list, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and words in err[0]
 
 
 def test_validate_clean_and_corrupted_snapshots(tmp_path):

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import json
 import re
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from renet.ego_tree import EgoTree
-from renet.metrics import average_cost
+from renet.metrics import CostLedger, average_cost
 from renet.network import HelperExhaustion, InvariantError, NetParams, Network, replay_trace
 from renet.trace import ProductDist, StarZipf, Torus, Trace, UniformPairs, generate, zipf_weights
 
@@ -487,7 +487,9 @@ def test_validate_detects_broken_parent_pointer():
 def drop_second_entry(route):
     # the walk skips one level: its second entry goes missing
     assert len(route.entries) >= 3
-    return dataclasses.replace(route, entries=route.entries[:1] + route.entries[2:])
+    faulty = copy.copy(route)
+    faulty.entries = route.entries[:1] + route.entries[2:]
+    return faulty
 
 
 def assert_hop_fault_caught(net, u, v, debug):
@@ -644,6 +646,43 @@ def test_replay_ledger_matches_outcomes():
     assert ledger.m == 500
     assert average_cost(ledger) >= 1.0
     assert net.path_failures == 0
+
+
+def test_replay_trace_matches_the_ledger_append_path():
+    # 5120 requests cross a replay slice; the trace fires 36 resets
+    tr = generate(product_zipf(256, 5120), seed=3)
+    replayed = replay_trace(Network(NetParams.make(256, 0.5)), tr)
+    net = Network(NetParams.make(256, 0.5))
+    appended = CostLedger()
+    for u, v in zip(tr.src.tolist(), tr.dst.tolist()):
+        appended.append(*net.serve_request(u, v))
+    assert len(appended.reset_marks) == 36
+    for column in ("hops", "adjust", "coord", "reset", "reset_marks"):
+        assert getattr(replayed, column) == getattr(appended, column)
+
+
+def test_reused_request_context_leaks_no_state():
+    # a network serves every unchecked request in one context; rejected
+    # requests and a stretch of debug-checked ones must leave no trace in it
+    tr = generate(product_zipf(64, 640), seed=3)
+    pairs = list(zip(tr.src.tolist(), tr.dst.tolist()))
+    clean = Network(NetParams.make(64, 0.5))
+    expected = [clean.serve_request(u, v) for u, v in pairs]
+    marks = [i for i, row in enumerate(expected) if row[3]]
+    mid = marks[len(marks) // 2]  # a request that fires a reset
+    net = Network(NetParams.make(64, 0.5))
+    rows = []
+    for i, (u, v) in enumerate(pairs):
+        net.debug_checks = mid - 6 <= i < mid - 2  # on for four requests, then off again
+        rows.append(net.serve_request(u, v))
+        if i == mid:
+            with pytest.raises(ValueError):
+                net.serve_request(u, 64)
+            with pytest.raises(ValueError):
+                net.serve_request(v, v)
+    assert len(marks) > 2
+    assert rows == expected
+    assert net.snapshot() == clean.snapshot()
 
 
 @given(
