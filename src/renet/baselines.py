@@ -16,11 +16,18 @@ symmetrized pair frequencies), and relays large-large pairs through helpers
 picked by the adaptive network's own selector (`Network.find_helper`).
 Replay over it incurs zero adjustment cost.  Its lower bound is the same
 `demand_entropy` that window reports use, over the whole trace.
+
+All three price the trace's distinct pairs, read from its cached
+`Trace.pair_table`.  The static network is classified, wired and priced on
+those arrays; Python loops run over the large nodes' partners and the pairs
+routed through trees, and the helper selector's node tables are filled only
+when some pair joins two large nodes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,8 +113,7 @@ def oblivious_cost(net: ObliviousNet, trace: Trace) -> float:
     """Average shortest-path length of the trace under the identity embedding."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    codes, cnt = np.unique(trace.src * np.int64(trace.n) + trace.dst, return_counts=True)
-    src, dst = np.divmod(codes, trace.n)  # pairs sorted by source
+    src, dst, cnt = trace.pair_table  # pairs sorted by source
     sources = np.unique(src)
     bounds = np.searchsorted(src, sources[::BFS_BLOCK]).tolist() + [len(src)]
     total = 0
@@ -134,7 +140,7 @@ class StaticDan:
 
     params: NetParams
     large: set
-    direct: dict          # node -> set of directly linked partners
+    direct: np.ndarray    # sorted codes a * n + b (a < b) of the small-small links
     trees: dict           # large node -> fixed EgoTree
     depths: dict          # large node -> {key: depth}
     helpers: dict         # (a, b) with a < b -> helper node
@@ -145,83 +151,101 @@ def build_static_dan(trace: Trace, params: NetParams) -> StaticDan:
     """Assemble the clairvoyant baseline; fails if the demand is too dense."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    counts = trace.pair_counts()
-    if len(counts) > params.c * params.n:
+    src, dst, count = trace.pair_table
+    if len(src) > params.c * params.n:
         raise StaticBuildError(
-            f"{len(counts)} unique pairs exceed c*n = {params.c * params.n}; "
+            f"{len(src)} unique pairs exceed c*n = {params.c * params.n}; "
             "the full trace is not sparse enough for a degree-bounded build"
         )
-    partners: dict[int, set] = {i: set() for i in range(params.n)}
-    sym: dict[tuple[int, int], float] = {}
-    m = len(trace)
-    for (u, v), cnt in counts.items():
-        partners[u].add(v)
-        partners[v].add(u)
-        k = edge_key(u, v)
-        sym[k] = sym.get(k, 0.0) + cnt / m
-    large = {u for u in range(params.n) if len(partners[u]) > params.theta}
+    n, m = params.n, len(trace)
+    # each linked pair once, as code a * n + b with a < b, weighted by its
+    # symmetrized frequency count(a, b) / m + count(b, a) / m in that order
+    links, at = np.unique(np.minimum(src, dst) * np.int64(n) + np.maximum(src, dst), return_inverse=True)
+    a, b = np.divmod(links, n)
+    sym = np.zeros((2, len(links)))
+    sym[(src > dst).astype(np.intp), at] = count / m
+    sym = sym[0] + sym[1]
+    is_large = np.bincount(a, minlength=n) + np.bincount(b, minlength=n) > params.theta
+    large = set(np.flatnonzero(is_large).tolist())
+    small_pair = ~is_large[a] & ~is_large[b]
+    direct = links[small_pair]
+    da, db = a[small_pair], b[small_pair]
 
-    direct: dict[int, set] = {i: set() for i in range(params.n)}
-    for (u, v) in sorted(sym):
-        if u not in large and v not in large:
-            direct[u].add(v)
-            direct[v].add(u)
+    # partners of the large nodes, and the small nodes' memberships in their trees
+    weights: dict[int, dict[int, float]] = {w: {} for w in large}
+    trees_in: dict[int, set] = {}
+    for x, y, f in zip(a[~small_pair].tolist(), b[~small_pair].tolist(), sym[~small_pair].tolist()):
+        for owner, key in ((x, y), (y, x)):
+            if owner in large:
+                weights[owner][key] = f
+                if key not in large:
+                    trees_in.setdefault(key, set()).add(owner)
 
     # large-large pairs get helpers from the online selector over the static tables
-    net = Network(params)
-    for x, s in enumerate(net.nodes):
-        s.large = x in large
-        if not s.large:
-            s.S = direct[x]
-            s.trees_in = partners[x] & large
     helpers: dict[tuple[int, int], int] = {}
-    for (a, b) in sorted(k for k in sym if k[0] in large and k[1] in large):
-        try:
-            x = net.find_helper(a, b)
-        except HelperExhaustion:
-            raise StaticBuildError(f"no helper available for static pair ({a}, {b})") from None
-        net.assign_helper(x, (a, b))
-        helpers[(a, b)] = x
+    both_large = is_large[a] & is_large[b]
+    if both_large.any():
+        net = Network(params)
+        for x in large:
+            net.nodes[x].large = True
+        for x, y in zip(da.tolist(), db.tolist()):
+            net.nodes[x].S.add(y)
+            net.nodes[y].S.add(x)
+        for x, owners in trees_in.items():
+            net.nodes[x].trees_in = owners
+        for pair in zip(a[both_large].tolist(), b[both_large].tolist()):
+            try:
+                x = net.find_helper(*pair)
+            except HelperExhaustion:
+                raise StaticBuildError(f"no helper available for static pair {pair}") from None
+            net.assign_helper(x, pair)
+            helpers[pair] = x
 
     trees: dict[int, EgoTree] = {}
     depths: dict[int, dict] = {}
+    tree_edges: Counter = Counter()
     for w in sorted(large):
-        weights = {}
-        occupants = {}
-        for v in sorted(partners[w]):
-            weights[v] = sym[edge_key(w, v)]
-            if v in large:
-                occupants[v] = helpers[edge_key(w, v)]
-        dist = normalized(weights)
+        dist = normalized({v: weights[w][v] for v in sorted(weights[w])})
+        occupants = {v: helpers[edge_key(w, v)] for v in dist if v in large}
         tree = build_static(w, dist, occupants)
         trees[w] = tree
         depths[w] = {k: tree.depth(k) for k in tree.keys_inorder()}
-        net.nodes[w].tree = tree
+        tree_edges.update(tree.edges())
 
-    # the scratch network now holds the static links: direct ones and the trees
-    degree = degrees(net.edges, params.n)
-    over = [x for x, d in enumerate(degree) if d > params.delta_cap]
-    if over:
-        raise StaticBuildError(f"static build violates the degree cap at {over[:8]}")
+    # the static links: direct ones and the trees'
+    degree = np.bincount(da, minlength=n) + np.bincount(db, minlength=n) + np.array(degrees(tree_edges, n))
+    over = np.flatnonzero(degree > params.delta_cap)
+    if len(over):
+        raise StaticBuildError(f"static build violates the degree cap at {over[:8].tolist()}")
+    linked = np.flatnonzero(degree)
     return StaticDan(params=params, large=large, direct=direct, trees=trees, depths=depths, helpers=helpers,
-                     degree={x: d for x, d in enumerate(degree) if d})
+                     degree=dict(zip(linked.tolist(), degree[linked].tolist())))
 
 
 def stat_cost(dan: StaticDan, trace: Trace) -> float:
-    """Average route length replaying the trace over the fixed network."""
+    """Average route length replaying the trace over the fixed network.
+
+    A small-small pair takes its direct link; any other pair takes one hop
+    to its partner's seat in each tree it crosses, plus the seat's depth."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    total = 0
-    for (u, v), cnt in trace.pair_counts().items():
-        if v in dan.direct[u]:
-            hops = 1
-        elif u in dan.large and v in dan.depths[u]:
-            hops = dan.depths[u][v] + 1
-            if v in dan.large:  # relayed through the helper seat in both trees
-                hops += dan.depths[v][u] + 1
-        elif v in dan.large and u in dan.depths[v]:
-            hops = dan.depths[v][u] + 1
-        else:
-            raise ValueError(f"pair ({u}, {v}) is not routable in the static network")
+    n = dan.params.n
+    src, dst, count = trace.pair_table
+    is_large = np.zeros(n, dtype=bool)
+    is_large[list(dan.large)] = True
+    direct = ~is_large[src] & ~is_large[dst]
+    codes = np.minimum(src, dst)[direct] * np.int64(n) + np.maximum(src, dst)[direct]
+    unlinked = np.flatnonzero(~np.isin(codes, dan.direct))
+    if len(unlinked):
+        u, v = int(src[direct][unlinked[0]]), int(dst[direct][unlinked[0]])
+        raise ValueError(f"pair ({u}, {v}) is not routable in the static network")
+    total = int(count[direct].sum())
+    for u, v, cnt in zip(src[~direct].tolist(), dst[~direct].tolist(), count[~direct].tolist()):
+        hops = 0
+        for owner, key in ((u, v), (v, u)):
+            if owner in dan.depths:  # relayed pairs cross both trees
+                if key not in dan.depths[owner]:
+                    raise ValueError(f"pair ({u}, {v}) is not routable in the static network")
+                hops += dan.depths[owner][key] + 1
         total += hops * cnt
     return total / len(trace)

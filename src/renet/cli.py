@@ -2,7 +2,9 @@
 
 Commands
   run       replay one workload through the self-adjusting network and write
-            ledger.csv, windows.csv, snapshot.json and summary.json
+            ledger.csv, windows.csv, snapshot.json and summary.json;
+            snapshot.json is compact sorted-key JSON (trees as entries with
+            parent links, no in-order dump)
   compare   sweep (n, workload) cells and tabulate averages vs the baselines
   entropy   windowed entropy report CSV for a workload or trace file
   validate  load a snapshot.json, re-check every structural invariant and
@@ -193,7 +195,8 @@ def run_cell(cfg: ExperimentConfig, trace: Trace, params: NetParams, outdir: Pat
     with open(outdir / "windows.csv", "w") as fh:
         write_windows_csv(windows, fh)
     with open(outdir / "snapshot.json", "w") as fh:
-        json.dump(net.snapshot(), fh, indent=1, sort_keys=True)
+        # one C-encoder call: json.dump, and any indent, run the pure-Python encoder
+        fh.write(json.dumps(net.snapshot(), sort_keys=True))
 
     summary = {
         "n": params.n,

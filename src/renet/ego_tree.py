@@ -236,30 +236,6 @@ class EgoTree:
                 bad.append(f"tree({self.owner}): dangling virtual root {k}")
         return bad
 
-    def debug_string(self) -> str:
-        """Parenthesized in-order dump `(left key:occupant right)`."""
-        if self.root is None:
-            return ""
-        done: dict[int, str] = {}
-        stack: list[tuple[_Entry, bool]] = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                parts = []
-                if node.left is not None:
-                    parts.append(done[id(node.left)])
-                parts.append(f"{node.key}:{node.occupant}")
-                if node.right is not None:
-                    parts.append(done[id(node.right)])
-                done[id(node)] = "(" + " ".join(parts) + ")"
-            else:
-                stack.append((node, True))
-                if node.right is not None:
-                    stack.append((node.right, False))
-                if node.left is not None:
-                    stack.append((node.left, False))
-        return done[id(self.root)]
-
     # -- splay machinery ----------------------------------------------------
 
     def _rotate_up(self, x: _Entry) -> None:

@@ -156,13 +156,8 @@ def conditional_entropy(joint: Mapping, direction: str, base: float = 2.0) -> fl
 def demand_entropy(trace, base: float, start: int = 0, stop: int | None = None) -> float:
     """h_con of trace[start:stop]: the larger of the two conditional entropies
     of its pair counts.  Window reports and the static lower bound both use
-    this one rule."""
-    stop = len(trace) if stop is None else stop
-    if not (0 <= start <= stop <= len(trace)):
-        raise ValueError(f"bad index range [{start}, {stop})")
-    codes, counts = np.unique(trace.src[start:stop] * trace.n + trace.dst[start:stop], return_counts=True)
-    x, y = np.divmod(codes, trace.n)
-    _, _, hygx, hxgy = _count_entropies(x, y, counts, base)
+    this one rule; over the whole trace it reads the trace's cached table."""
+    _, _, hygx, hxgy = _count_entropies(*trace.pairs_in(start, stop), base)
     return max(hygx, hxgy)
 
 

@@ -8,6 +8,7 @@ Reset events mark window boundaries: window i spans the requests between the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import IO, Sequence
 
 from .entropy import demand_entropy
@@ -99,10 +100,26 @@ LEDGER_CSV_HEADER = "req_idx,hops,adjust,coord,reset"
 WINDOWS_CSV_HEADER = "window,start,length,avg_cost,h_con"
 
 
+LEDGER_SLICE = 8192  # rows formatted and written per `fh.write`
+
+
+class _RowTails(dict):
+    """The text after the index of each distinct ledger row, made on first use:
+    a ledger repeats few distinct (hops, adjust, coord, reset) rows."""
+
+    def __missing__(self, row: tuple) -> str:
+        hops, adjust, coord, reset = row
+        tail = self[row] = f",{hops},{adjust},{coord},{reset}\n"
+        return tail
+
+
 def write_ledger_csv(ledger: CostLedger, fh: IO[str]) -> None:
     fh.write(LEDGER_CSV_HEADER + "\n")
-    for i in range(ledger.m):
-        fh.write(f"{i},{ledger.hops[i]},{ledger.adjust[i]},{ledger.coord[i]},{ledger.reset[i]}\n")
+    tails = _RowTails()
+    rows = zip(ledger.hops, ledger.adjust, ledger.coord, ledger.reset)
+    for start in range(0, ledger.m, LEDGER_SLICE):
+        lines = zip(range(start, start + LEDGER_SLICE), islice(rows, LEDGER_SLICE))
+        fh.write("".join([f"{i}{tails[row]}" for i, row in lines]))
 
 
 def write_windows_csv(rows: Sequence[WindowRow], fh: IO[str]) -> None:

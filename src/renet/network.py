@@ -648,11 +648,7 @@ class Network:
                         stack.append(e.right)
                     if e.left is not None:
                         stack.append(e.left)
-                trees[str(s.id)] = {
-                    "entries": entries,
-                    "vr": list(s.tree.vr),
-                    "inorder": s.tree.debug_string(),
-                }
+                trees[str(s.id)] = {"entries": entries, "vr": list(s.tree.vr)}
         return {
             "params": asdict(self.params),
             "size_classes": {"large": sorted(s.id for s in self.nodes if s.large)},

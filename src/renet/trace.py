@@ -9,11 +9,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence, Union
+from functools import cached_property
+from typing import IO, NamedTuple, Sequence, Union
 
 import numpy as np
 
 Request = tuple[int, int]
+
+
+class PairTable(NamedTuple):
+    """The distinct (src, dst) pairs of some requests in ascending order,
+    with the number of requests of each, as parallel int64 arrays."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def of(cls, n: int, src: np.ndarray, dst: np.ndarray) -> "PairTable":
+        codes, count = np.unique(src * np.int64(n) + dst, return_counts=True)
+        return cls(*np.divmod(codes, n), count)
 
 
 @dataclass(frozen=True)
@@ -55,17 +70,24 @@ class Trace:
     def subrange(self, start: int, stop: int) -> "Trace":
         return Trace(self.n, self.src[start:stop], self.dst[start:stop])
 
-    def pair_counts(self, start: int = 0, stop: int | None = None) -> dict[Request, int]:
-        """Occurrence counts of each distinct (src, dst) pair in [start, stop)."""
+    @cached_property
+    def pair_table(self) -> PairTable:
+        """The pair table of the whole trace, counted once per trace."""
+        return PairTable.of(self.n, self.src, self.dst)
+
+    def pairs_in(self, start: int = 0, stop: int | None = None) -> PairTable:
+        """The pair table of requests [start, stop); the whole range is `pair_table`."""
         stop = len(self) if stop is None else stop
         if not (0 <= start <= stop <= len(self)):
             raise ValueError(f"bad index range [{start}, {stop})")
-        codes = self.src[start:stop] * np.int64(self.n) + self.dst[start:stop]
-        uniq, counts = np.unique(codes, return_counts=True)
-        return {
-            (int(c) // self.n, int(c) % self.n): int(k)
-            for c, k in zip(uniq.tolist(), counts.tolist())
-        }
+        if start == 0 and stop == len(self):
+            return self.pair_table
+        return PairTable.of(self.n, self.src[start:stop], self.dst[start:stop])
+
+    def pair_counts(self, start: int = 0, stop: int | None = None) -> dict[Request, int]:
+        """Occurrence counts of each distinct (src, dst) pair in [start, stop)."""
+        src, dst, count = self.pairs_in(start, stop)
+        return dict(zip(zip(src.tolist(), dst.tolist()), count.tolist()))
 
 
 @dataclass(frozen=True)

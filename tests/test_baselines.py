@@ -3,6 +3,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from renet import baselines
 from renet.baselines import (
@@ -281,3 +282,66 @@ def test_stat_cost_missing_pair_rejected():
     dan = build_static_dan(tr, params)
     with pytest.raises(ValueError):
         stat_cost(dan, Trace.from_pairs(8, [(2, 3)]))
+
+
+def dict_loop_hop_total(dan, trace):
+    """The per-pair dict loop that the array `stat_cost` replaced, kept as its
+    oracle: the integer hop total of the trace over the static network."""
+    direct = {}
+    for code in dan.direct.tolist():
+        a, b = divmod(code, dan.params.n)
+        direct.setdefault(a, set()).add(b)
+        direct.setdefault(b, set()).add(a)
+    total = 0
+    for (u, v), cnt in trace.pair_counts().items():
+        if v in direct.get(u, ()):
+            hops = 1
+        elif u in dan.large and v in dan.depths[u]:
+            hops = dan.depths[u][v] + 1
+            if v in dan.large:  # relayed through the helper seat in both trees
+                hops += dan.depths[v][u] + 1
+        elif v in dan.large and u in dan.depths[v]:
+            hops = dan.depths[v][u] + 1
+        else:
+            raise ValueError(f"pair ({u}, {v}) is not routable in the static network")
+        total += hops * cnt
+    return total
+
+
+@st.composite
+def static_cases(draw):
+    """A trace of a few hubs with about theta partners each, some of them
+    other hubs, plus stray pairs; so builds have large nodes and relayed pairs."""
+    n = draw(st.integers(8, 32))
+    params = NetParams.make(n, draw(st.sampled_from([0.5, 1.0, 2.0])))
+    node = st.integers(0, n - 1)
+    hubs = draw(st.integers(1, 3))
+    pairs = [(a, b) for a in range(hubs) for b in range(hubs) if a != b and draw(st.booleans())]
+    for hub in range(hubs):
+        for v in draw(st.sets(node, min_size=params.theta - 1, max_size=params.theta + 2)) - {hub}:
+            pairs += [draw(st.sampled_from([(hub, v), (v, hub)]))] * draw(st.integers(1, 3))
+    pairs += [p for p in draw(st.lists(st.tuples(node, node), max_size=6)) if p[0] != p[1]]
+    assume(pairs)
+    order = draw(st.permutations(range(len(pairs))))
+    return Trace.from_pairs(n, [pairs[i] for i in order]), params
+
+
+@given(static_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_array_stat_cost_matches_dict_loop(case, data):
+    tr, params = case
+    try:
+        dan = build_static_dan(tr, params)
+    except StaticBuildError:
+        assume(False)
+    for sub in (tr, tr.subrange(0, data.draw(st.integers(1, len(tr))))):
+        assert stat_cost(dan, sub) == dict_loop_hop_total(dan, sub) / len(sub)
+    # a pair the trace never links either way has no route in either version
+    linked = {frozenset(p) for p in tr.pair_counts()}
+    free = [(u, v) for u in range(tr.n) for v in range(tr.n) if u != v and frozenset((u, v)) not in linked]
+    assume(free)
+    stray = Trace.from_pairs(tr.n, [data.draw(st.sampled_from(free))])
+    with pytest.raises(ValueError, match="not routable"):
+        dict_loop_hop_total(dan, stray)
+    with pytest.raises(ValueError, match="not routable"):
+        stat_cost(dan, stray)

@@ -16,6 +16,21 @@ def make_tree(keys, vr_capacity=0, splay=True, **kw):
     return t
 
 
+def shape(t):
+    """The in-order keys, and each entry's key, occupant, parent and children
+    read off the links from the root."""
+    def key(e):
+        return None if e is None else e.key
+
+    links = []
+    stack = [t.root] if t.root is not None else []
+    while stack:
+        e = stack.pop()
+        links.append((e.key, e.occupant, key(e.parent), key(e.left), key(e.right)))
+        stack.extend(ch for ch in (e.left, e.right) if ch is not None)
+    return t.keys_inorder(), sorted(links)
+
+
 def degrees_of(edges):
     deg = Counter()
     for (a, b), cnt in edges.items():
@@ -39,15 +54,15 @@ def test_insert_splays_to_root():
     cost = t.insert(3)
     assert cost.rotations == 1
     assert t.root.key == 3 and t.root.right.key == 5
-    assert t.debug_string() == "(3:3 (5:5))"
+    assert shape(t) == ([3, 5], [(3, 3, None, None, 5), (5, 5, 3, None, None)])
 
 
 def test_insert_duplicate_rejected_without_mutation():
     t = make_tree([5, 3])
-    before = t.debug_string()
+    before = shape(t)
     with pytest.raises(ValueError):
         t.insert(3)
-    assert t.debug_string() == before
+    assert shape(t) == before
 
 
 def test_insert_occupant_cannot_be_owner():

@@ -1,0 +1,40 @@
+"""Golden outputs: `renet run` writes these exact bytes for three small configs.
+
+The ledger, the window report and the summary are the simulator's output
+contract.  A change that moves any byte of them must say which rows change
+and why, and re-record the hashes here.
+"""
+
+import hashlib
+
+import pytest
+
+from renet.cli import main
+
+GOLDEN = {
+    # every node small, static baseline built from direct links only
+    ("torus", "--n", "64", "--m", "3200", "--c", "4", "--seed", "1"): {
+        "ledger.csv": "02ec4beda3afdb51ab395e0245bddfd31236c83440d3dade2e31f545fb903a20",
+        "windows.csv": "06fefc9c421fff9cb422a5876b1c59d3decc3903c553e488421a2dead7f2638d",
+        "summary.json": "c5cf113f5136a232b6f4442dcd36ebe22639293bab95034389076a9bf2a37784",
+    },
+    # one large hub: the static baseline routes through its tree
+    ("star", "--n", "64", "--m", "2000", "--c", "2", "--seed", "1"): {
+        "ledger.csv": "314fa4e9ea55478fc40a4fcadf5072dd002d02546a927df17e86e822e10d41a2",
+        "windows.csv": "e4e01d5eb45b9626524f6673f07f5a4dc8dfcbb2a65802cc75c191d294d1c9df",
+        "summary.json": "68fa63be690073259b5f001d3a1aceb197bf781a939425f800b63e760dac72f5",
+    },
+    # helpers and 36 resets; the static baseline refuses the dense trace
+    ("product", "--n", "256", "--m", "5120", "--c", "0.5", "--seed", "3"): {
+        "ledger.csv": "cafa2a4fd7d7eab1b4de57a7461376577301889a6dc51877ad75eb1d59af3cbd",
+        "windows.csv": "d24e2bc20f9c037f447faffc0f8551bae42b81192ee743d03420ee721196c61f",
+        "summary.json": "77cae2591c9edf4fed4897dbdb02ec6256db186b6841949309d4d803d4a718c4",
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN), ids=lambda args: args[0])
+def test_run_outputs_match_golden_hashes(tmp_path, args):
+    assert main(["run", "--workload", *args, "--out", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN[args]}
+    assert got == GOLDEN[args]

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from renet.metrics import (
+    LEDGER_CSV_HEADER,
+    LEDGER_SLICE,
     CostLedger,
     average_cost,
     rho_estimate,
@@ -109,3 +111,37 @@ def test_csv_writers():
     out = buf.getvalue().splitlines()
     assert out[0] == "window,start,length,avg_cost,h_con"
     assert len(out) == 1 + len(rows)
+
+
+def per_row_ledger_csv(ledger, fh):
+    """The one-f-string-per-row writer that `write_ledger_csv` replaced, kept as its oracle."""
+    fh.write(LEDGER_CSV_HEADER + "\n")
+    for i in range(ledger.m):
+        fh.write(f"{i},{ledger.hops[i]},{ledger.adjust[i]},{ledger.coord[i]},{ledger.reset[i]}\n")
+
+
+def ledger_text(writer, ledger):
+    buf = io.StringIO()
+    writer(ledger, buf)
+    return buf.getvalue()
+
+
+def test_streamed_ledger_writer_on_empty_ledger():
+    assert ledger_text(write_ledger_csv, CostLedger()) == LEDGER_CSV_HEADER + "\n"
+
+
+@given(
+    st.lists(
+        st.tuples(*[st.one_of(st.integers(0, 9), st.integers(0, 10**30)) for _ in range(4)]),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from([1, 7, LEDGER_SLICE - 1, LEDGER_SLICE, LEDGER_SLICE + 1, 2 * LEDGER_SLICE + 1]),
+)
+@settings(max_examples=40, deadline=None)
+def test_streamed_ledger_writer_matches_per_row_writer(distinct, m):
+    # m rows cycling through a few distinct rows, small and large values alike
+    led = CostLedger()
+    for i in range(m):
+        led.append(*distinct[i % len(distinct)])
+    assert ledger_text(write_ledger_csv, led) == ledger_text(per_row_ledger_csv, led)
