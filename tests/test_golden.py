@@ -1,4 +1,4 @@
-"""Golden outputs: `renet run` writes these exact bytes for three small configs.
+"""Golden outputs: `renet run` writes these exact bytes for four small configs.
 
 The ledger, the window report and the summary are the simulator's output
 contract.  A change that moves any byte of them must say which rows change
@@ -30,10 +30,16 @@ GOLDEN = {
         "windows.csv": "d24e2bc20f9c037f447faffc0f8551bae42b81192ee743d03420ee721196c61f",
         "summary.json": "77cae2591c9edf4fed4897dbdb02ec6256db186b6841949309d4d803d4a718c4",
     },
+    # seven large nodes: the static baseline relays 11 pairs through helpers
+    ("product", "--n", "64", "--m", "200", "--c", "1", "--alpha", "2", "--seed", "1"): {
+        "ledger.csv": "fa72bf8d4e0843811a451e537635e6f1bd7ae2f4a10a4f4c36d27d64ed27a487",
+        "windows.csv": "df80e8013b80b18a2917e8f4ceb62c25aeb0564cdf978b76b4216b1859d78128",
+        "summary.json": "915f0cc4489ef7f32a65441bda0aa15b4b167490bd7937a35539de2fea8f932c",
+    },
 }
 
 
-@pytest.mark.parametrize("args", list(GOLDEN), ids=lambda args: args[0])
+@pytest.mark.parametrize("args", list(GOLDEN), ids=["torus", "star", "product", "product-relayed"])
 def test_run_outputs_match_golden_hashes(tmp_path, args):
     assert main(["run", "--workload", *args, "--out", str(tmp_path)]) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN[args]}
