@@ -1,21 +1,24 @@
 """Reference networks: a demand-oblivious fabric and a clairvoyant static one.
 
 The oblivious baseline is an undirected binary de Bruijn graph: degree at
-most four, diameter exactly log2 of the (power-of-two rounded) vertex count,
-and fully deterministic, so no randomness leaks into comparisons.  Nodes map
-to vertices by the identity embedding, deliberately ignoring the demand.  Its
-cost is priced per (src, dst) pair: one level-synchronous numpy BFS per block
-of up to `BFS_BLOCK` distinct sources, whose frontiers hold one bit per source
-in uint64 words over a fixed [vertex, 4] neighbour array, and which reads only
-the bits of the asked pairs at each level.
+most four, its farthest vertices exactly log2 of the (power-of-two rounded)
+vertex count hops apart, and fully deterministic, so no randomness leaks
+into comparisons.  Nodes map to vertices by the identity embedding,
+deliberately ignoring the demand.  Its cost is priced per (src, dst) pair:
+one level-synchronous numpy BFS per block of up to `BFS_BLOCK` distinct
+sources, whose frontiers hold one bit per source in uint64 words over a
+fixed [vertex, 4] neighbour array, and which reads only the bits of the
+asked pairs at each level.
 
 The static baseline knows the whole trace in advance: it classifies nodes
 with the same working-set threshold, wires small-small pairs directly, gives
 every large node a fixed weight-bisected tree over its partners (weighted by
 symmetrized pair frequencies), and relays large-large pairs through helpers
 picked by the adaptive network's own selector (`Network.find_helper`).
-Replay over it incurs zero adjustment cost.  Its lower bound is the same
-`demand_entropy` that window reports use, over the whole trace.
+Each tree is kept only as its keys' depths; its links count toward the
+degree cap and are not stored.  Replay over it incurs zero adjustment cost.
+Its lower bound is the same `demand_entropy` that window reports use, over
+the whole trace.
 
 All three price the trace's distinct pairs, read from its cached
 `Trace.pair_table`.  The static network is classified, wired and priced on
@@ -27,14 +30,14 @@ when some pair joins two large nodes.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .ego_tree import EgoTree, build_static, edge_key
+from .ego_tree import edge_key
 from .entropy import demand_entropy, normalized
-from .network import HelperExhaustion, NetParams, Network, degrees
+from .network import HelperExhaustion, NetParams, Network
 from .trace import Trace
 
 
@@ -65,9 +68,6 @@ class ObliviousNet:
     @property
     def size(self) -> int:
         return 1 << self.k
-
-    def max_degree(self) -> int:
-        return int((self.neighbours != np.arange(self.size)[:, None]).sum(axis=1).max())
 
     def distances_from(self, sources, targets) -> np.ndarray:
         """Hop distance of each pair (sources[i], targets[i]), as int64 [i].
@@ -104,10 +104,6 @@ class ObliviousNet:
                 raise ValueError(f"{len(pending)} pairs unreachable after {d - 1} hops: the net is disconnected")
             seen |= frontier
 
-    def diameter(self) -> int:
-        every = np.arange(self.size)
-        return int(self.distances_from(np.repeat(every, self.size), np.tile(every, self.size)).max())
-
 
 def oblivious_cost(net: ObliviousNet, trace: Trace) -> float:
     """Average shortest-path length of the trace under the identity embedding."""
@@ -141,10 +137,28 @@ class StaticDan:
     params: NetParams
     large: set
     direct: np.ndarray    # sorted codes a * n + b (a < b) of the small-small links
-    trees: dict           # large node -> fixed EgoTree
-    depths: dict          # large node -> {key: depth}
+    depths: dict          # large node -> {key: depth in its fixed tree}
     helpers: dict         # (a, b) with a < b -> helper node
-    degree: dict = field(default_factory=dict)
+
+
+def bisect_tree(weights: list[float]) -> tuple[list[int], list[int]]:
+    """The fixed weight-bisected tree over keys with these weights, in key order.
+
+    Each subtree roots at the key whose split minimizes |weight(left) -
+    weight(right)|, ties to the smaller key; its expected depth tracks the
+    entropy of the weights.  Returns each key's depth and its parent's index
+    (-1 for the root); no keys raise ValueError.
+    """
+    prefix = [0.0, *accumulate(weights)]
+    depth = [0] * len(weights)
+    parent = [-1] * len(weights)
+    stack = [(0, len(weights), -1, 0)]
+    while stack:
+        lo, hi, up, d = stack.pop()
+        i = min(range(lo, hi), key=lambda j: abs((prefix[j] - prefix[lo]) - (prefix[hi] - prefix[j + 1])))
+        depth[i], parent[i] = d, up
+        stack += [(a, b, i, d + 1) for a, b in ((lo, i), (i + 1, hi)) if a < b]
+    return depth, parent
 
 
 def build_static_dan(trace: Trace, params: NetParams) -> StaticDan:
@@ -201,25 +215,24 @@ def build_static_dan(trace: Trace, params: NetParams) -> StaticDan:
             net.assign_helper(x, pair)
             helpers[pair] = x
 
-    trees: dict[int, EgoTree] = {}
+    # each tree link as (seat, parent's seat), the owner standing above the root
     depths: dict[int, dict] = {}
-    tree_edges: Counter = Counter()
+    seats: list[int] = []
+    above: list[int] = []
     for w in sorted(large):
         dist = normalized({v: weights[w][v] for v in sorted(weights[w])})
-        occupants = {v: helpers[edge_key(w, v)] for v in dist if v in large}
-        tree = build_static(w, dist, occupants)
-        trees[w] = tree
-        depths[w] = {k: tree.depth(k) for k in tree.keys_inorder()}
-        tree_edges.update(tree.edges())
+        depth, parent = bisect_tree(list(dist.values()))
+        seat = [helpers[edge_key(w, v)] if v in large else v for v in dist]
+        depths[w] = dict(zip(dist, depth))
+        seats += seat
+        above += [seat[i] if i >= 0 else w for i in parent]
 
     # the static links: direct ones and the trees'
-    degree = np.bincount(da, minlength=n) + np.bincount(db, minlength=n) + np.array(degrees(tree_edges, n))
+    degree = sum(np.bincount(ends, minlength=n) for ends in (da, db, seats, above))
     over = np.flatnonzero(degree > params.delta_cap)
     if len(over):
         raise StaticBuildError(f"static build violates the degree cap at {over[:8].tolist()}")
-    linked = np.flatnonzero(degree)
-    return StaticDan(params=params, large=large, direct=direct, trees=trees, depths=depths, helpers=helpers,
-                     degree=dict(zip(linked.tolist(), degree[linked].tolist())))
+    return StaticDan(params=params, large=large, direct=direct, depths=depths, helpers=helpers)
 
 
 def stat_cost(dan: StaticDan, trace: Trace) -> float:

@@ -90,9 +90,6 @@ class ExperimentConfig:
     n_list: str = ""         # compare command; comma-separated
     workloads: str = ""      # compare command; comma-separated
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         types = {f.name: f.type for f in dataclasses.fields(cls)}

@@ -4,7 +4,9 @@ Each large node owns one of these trees over its working set.  Entries are
 keyed by partner id; the occupant is the physical node sitting at that
 position (the partner itself, or a helper relaying for a large partner).
 The owner is linked to the current root and to a bounded LRU set of
-"virtual roots" that stay at distance one even after later splays.
+"virtual roots" that stay at distance one even after later splays.  An
+accessed entry joins that set only while its occupant is below the degree
+cap (a standalone tree's cap defaults to none).
 
 The tree's physical links (in occupant space) are read off its structure,
 by `edges()`: owner to root, each entry to its children, owner to each
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter, OrderedDict
-from typing import Callable, Mapping, Optional
+from typing import Optional
 
 UNIT = "unit"
 RAW = "raw"
@@ -108,7 +110,6 @@ class EgoTree:
         vr_capacity: int = 0,
         rotation_accounting: str = UNIT,
         vr_policy: str = "lru",
-        vr_admit: Optional[Callable[[int], bool]] = None,
         degree=None,
         degree_cap: int = sys.maxsize,
     ):
@@ -119,7 +120,6 @@ class EgoTree:
         self.root: Optional[_Entry] = None
         self.vr_capacity = vr_capacity
         self.vr_policy = vr_policy
-        self.vr_admit = vr_admit
         self.vr: "OrderedDict[int, None]" = OrderedDict()  # oldest first
         self._by_key: dict[int, _Entry] = {}
         self._rot_lc = _ROTATION_LINK_COST[rotation_accounting]
@@ -181,9 +181,6 @@ class EgoTree:
             out.append(e.key)
             e = e.right
         return out
-
-    def virtual_roots(self) -> tuple[int, ...]:
-        return tuple(self.vr)
 
     def edges(self) -> Counter:
         """Physical edge multiset induced by this tree, in occupant space."""
@@ -375,7 +372,7 @@ class EgoTree:
             if key in self.vr:
                 if self.vr_policy == "lru":
                     self.vr.move_to_end(key)
-            elif self.vr_admit is None or self.vr_admit(e.occupant):
+            elif self.degree[e.occupant] < self._cap:
                 if len(self.vr) >= self.vr_capacity:
                     lc += self._drop_virtual_root(next(iter(self.vr)))
                 self.vr[key] = None
@@ -421,62 +418,3 @@ class EgoTree:
             lc += 1
         e.occupant = new_occupant
         return TreeCost(lc, 0)
-
-
-def build_static(owner: int, dist: Mapping[int, float], occupants: Optional[Mapping[int, int]] = None) -> EgoTree:
-    """Fixed weight-bisected tree: each subtree roots at the key whose split
-    minimizes |weight(left) - weight(right)|, ties to the smaller key.
-
-    The static baseline only reads depths and edges of the result; expected
-    depth under `dist` tracks the entropy of the weights.
-    """
-    items = sorted((k, dist[k]) for k in dist)
-    if not items:
-        raise ValueError("cannot build a static tree from an empty distribution")
-    if any(w < 0 for _, w in items):
-        raise ValueError("weights must be non-negative")
-    keys = [k for k, _ in items]
-    prefix = [0.0]
-    for _, w in items:
-        prefix.append(prefix[-1] + w)
-    tree = EgoTree(owner, vr_capacity=0)
-    occupants = occupants or {}
-    stack: list[tuple[int, int, Optional[_Entry], bool]] = [(0, len(keys), None, False)]
-    while stack:
-        lo, hi, parent, is_right = stack.pop()
-        if lo >= hi:
-            continue
-        best_i = lo
-        best = None
-        for i in range(lo, hi):
-            split = abs((prefix[i] - prefix[lo]) - (prefix[hi] - prefix[i + 1]))
-            if best is None or split < best:
-                best = split
-                best_i = i
-        key = keys[best_i]
-        occ = occupants.get(key, key)
-        if occ == owner:
-            raise ValueError("entry occupant cannot be the tree owner")
-        e = _Entry(key, occ)
-        tree._by_key[key] = e
-        if parent is None:
-            tree.root = e
-            tree._link(owner, occ)
-        else:
-            e.parent = parent
-            if is_right:
-                parent.right = e
-            else:
-                parent.left = e
-            tree._link(parent.occupant, occ)
-        stack.append((lo, best_i, e, False))
-        stack.append((best_i + 1, hi, e, True))
-    return tree
-
-
-def expected_depth(tree: EgoTree, dist: Mapping[int, float]) -> float:
-    """Average entry depth weighted by `dist` (root depth is zero)."""
-    total = sum(dist.values())
-    if total <= 0:
-        raise ValueError("weights must not be all zero")
-    return sum(w * tree.depth(k) for k, w in dist.items() if w > 0) / total

@@ -8,7 +8,7 @@ Reset events mark window boundaries: window i spans the requests between the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, count, islice
 from typing import IO, Sequence
 
 from .entropy import demand_entropy
@@ -21,29 +21,24 @@ class CostLedger:
     adjust: list = field(default_factory=list)
     coord: list = field(default_factory=list)
     reset: list = field(default_factory=list)
-    reset_marks: list = field(default_factory=list)  # request indices that fired a reset
 
     @property
     def m(self) -> int:
         return len(self.hops)
 
     def append(self, hops: int, adjust: int, coord: int, reset: int) -> None:
-        if reset:
-            self.reset_marks.append(len(self.hops))
         self.hops.append(hops)
         self.adjust.append(adjust)
         self.coord.append(coord)
         self.reset.append(reset)
 
     def slice(self, start: int, stop: int) -> "CostLedger":
-        sub = CostLedger(
+        return CostLedger(
             hops=self.hops[start:stop],
             adjust=self.adjust[start:stop],
             coord=self.coord[start:stop],
             reset=self.reset[start:stop],
         )
-        sub.reset_marks = [i - start for i in self.reset_marks if start <= i < stop]
-        return sub
 
 
 def average_cost(ledger: CostLedger, include_coord: bool = True) -> float:
@@ -71,7 +66,7 @@ def window_report(
     """One row per reset-delimited window, plus the trailing partial window."""
     if ledger.m != len(trace):
         raise ValueError(f"ledger has {ledger.m} rows but trace has {len(trace)} requests")
-    bounds = [0] + list(ledger.reset_marks) + [ledger.m]
+    bounds = [0, *compress(count(), ledger.reset), ledger.m]
     rows = []
     for i in range(len(bounds) - 1):
         start, stop = bounds[i], bounds[i + 1]

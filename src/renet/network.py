@@ -211,17 +211,12 @@ class Network:
 
     def _new_tree(self, owner: int) -> EgoTree:
         p = self.params
-        # the admission test holds the degree list, not the network: a tree
-        # that pointed back at its network would leave the network to the
-        # cycle collector instead of freeing it when the last reference goes
-        degree = self.degree
         return EgoTree(
             owner,
             vr_capacity=p.virtual_root_capacity,
             rotation_accounting=p.rotation_accounting,
             vr_policy=p.vr_policy,
-            vr_admit=lambda occ: degree[occ] < p.delta_cap,
-            degree=degree,
+            degree=self.degree,
             degree_cap=p.delta_cap,
         )
 
@@ -746,5 +741,4 @@ def replay_trace(net: Network, trace: Trace) -> CostLedger:
             add_adjust(adjust)
             add_coord(coord)
             add_reset(reset)
-    ledger.reset_marks = list(compress(count(), ledger.reset))
     return ledger

@@ -63,13 +63,6 @@ class Trace:
             return cls(n, arr[:, 0], arr[:, 1])
         return cls(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
-    def pairs(self) -> list[Request]:
-        """Materialize requests as a list of (src, dst) int tuples."""
-        return list(zip(self.src.tolist(), self.dst.tolist()))
-
-    def subrange(self, start: int, stop: int) -> "Trace":
-        return Trace(self.n, self.src[start:stop], self.dst[start:stop])
-
     @cached_property
     def pair_table(self) -> PairTable:
         """The pair table of the whole trace, counted once per trace."""

@@ -27,13 +27,14 @@ from renet.entropy import (
     windowed_entropy_report,
 )
 from renet.metrics import CostLedger, average_cost, rho_estimate
-from renet.network import NetParams, Network
+from renet.network import NetParams, Network, replay_trace
 from renet.trace import (
     ProductDist,
     RoundRobinGrids,
     SparsityParams,
     StarZipf,
     Torus,
+    Trace,
     generate,
     sparsity_check,
     zipf_weights,
@@ -184,9 +185,7 @@ def torus_scaling_runs():
     for n in (256, 1024, 4096):
         trace = generate(Torus(n, 10**6), seed=11)
         net = Network(NetParams.make(n, C))
-        ledger = CostLedger()
-        for u, v in zip(trace.src.tolist(), trace.dst.tolist()):
-            ledger.append(*net.serve_request(u, v))
+        ledger = replay_trace(net, trace)
         assert net.validate_invariants() == []
         results[n] = {
             "routing_avg": average_cost(ledger, include_coord=False),
@@ -223,14 +222,13 @@ def test_criterion_6_static_optimality_ratio():
     for label, spec in (("torus", Torus(1024, 10**6)), ("star_a1", StarZipf(1024, 10**6, 1.0))):
         trace = generate(spec, seed=21)
         net = Network(NetParams.make(1024, C))
-        ledger = CostLedger()
-        for u, v in zip(trace.src.tolist(), trace.dst.tolist()):
-            ledger.append(*net.serve_request(u, v))
+        ledger = replay_trace(net, trace)
         half = len(trace) // 2
         params = net.params
+        first_half = Trace(trace.n, trace.src[:half], trace.dst[:half])
         rho_half = rho_estimate(
             average_cost(ledger.slice(0, half), include_coord=True),
-            stat_cost(build_static_dan(trace.subrange(0, half), params), trace.subrange(0, half)),
+            stat_cost(build_static_dan(first_half, params), first_half),
         )
         rho_full = rho_estimate(
             average_cost(ledger, include_coord=True),
@@ -253,9 +251,7 @@ def test_criterion_7_reconfiguration_gap():
         m_each = n * max(1, math.ceil(math.log2(n)))
         trace = generate(RoundRobinGrids(n, k, m_each), seed=31)
         net = Network(NetParams.make(n, C))
-        ledger = CostLedger()
-        for u, v in zip(trace.src.tolist(), trace.dst.tolist()):
-            ledger.append(*net.serve_request(u, v))
+        ledger = replay_trace(net, trace)
         renet_avg = average_cost(ledger, include_coord=False)
         obl_avg = oblivious_cost(ObliviousNet.build(n), trace)
         ratios[n] = obl_avg / renet_avg

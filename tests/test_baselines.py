@@ -14,7 +14,6 @@ from renet.baselines import (
     stat_cost,
     static_lower_bound,
 )
-from renet.ego_tree import expected_depth
 from renet.entropy import entropy, normalized
 from renet.network import HelperExhaustion, NetParams, Network
 from renet.trace import StarZipf, Torus, Trace, UniformPairs, generate
@@ -38,8 +37,10 @@ def torus_edge_trace(side):
 def test_de_bruijn_degree_and_diameter():
     for n in (8, 16, 64):
         net = ObliviousNet.build(n)
-        assert net.max_degree() <= 4
-        assert net.diameter() == net.k == math.ceil(math.log2(n))
+        every = np.arange(net.size)
+        assert (net.neighbours != every[:, None]).sum(axis=1).max() <= 4
+        farthest = net.distances_from(np.repeat(every, net.size), np.tile(every, net.size)).max()
+        assert farthest == net.k == math.ceil(math.log2(n))
 
 
 def test_de_bruijn_rounds_up_to_power_of_two():
@@ -175,7 +176,6 @@ def test_static_dan_torus_all_direct():
     dan = build_static_dan(tr, params)
     assert not dan.large
     assert stat_cost(dan, tr) == pytest.approx(1.0)
-    assert max(dan.degree.values()) <= 4
 
 
 def test_static_dan_star_hub_tree_entropy_depth():
@@ -183,23 +183,33 @@ def test_static_dan_star_hub_tree_entropy_depth():
     tr = generate(StarZipf(256, 30000, 1.0), seed=4)
     dan = build_static_dan(tr, params)
     assert dan.large == {0}
-    tree = dan.trees[0]
     weights = normalized(
         {v: c for (a, b), c in tr.pair_counts().items() for v in (a, b) if v != 0}
     )
-    assert expected_depth(tree, weights) <= entropy(weights) + 2.0
-    assert max(dan.degree.values()) <= params.delta_cap
+    assert sum(w * dan.depths[0][v] for v, w in weights.items()) <= entropy(weights) + 2.0
     # replay cost sits in [1, H(sym partners) + 3]: tree depth bound plus the
     # owner hop; all traffic here crosses the single hub tree
     avg = stat_cost(dan, tr)
     assert 1.0 <= avg <= entropy(weights) + 3.0
 
 
-def test_static_dan_degree_cap_verified():
-    params = NetParams.make(64, 2)
-    tr = generate(StarZipf(64, 5000, 0.5), seed=9)
-    dan = build_static_dan(tr, params)
-    assert max(dan.degree.values()) <= params.delta_cap
+def test_static_dan_degree_cap_verified(monkeypatch):
+    # hubs 0 and 1 with 13 small partners each and a pair between them,
+    # relayed by a helper that is no hub's partner
+    params = NetParams.make(64, 0.5)  # theta 2, degree cap 12, at most 32 unique pairs
+    pairs = [(0, v) for v in range(16, 29)] + [(1, v) for v in range(29, 42)] + [(0, 1)]
+    tr = Trace.from_pairs(64, pairs)
+    helper = build_static_dan(tr, params).helpers[(0, 1)]
+    assert helper not in (0, 1, *range(16, 42))
+
+    def star(weights):
+        # every key a child of the smallest, which in both trees is the other
+        # hub: its seat, the helper, takes 14 links in each tree
+        return [0] + [1] * (len(weights) - 1), [-1] + [0] * (len(weights) - 1)
+
+    monkeypatch.setattr(baselines, "bisect_tree", star)
+    with pytest.raises(StaticBuildError, match=rf"violates the degree cap at \[{helper}\]$"):
+        build_static_dan(tr, params)
 
 
 def test_static_dan_rejects_dense_demand():
@@ -219,7 +229,6 @@ def test_static_helpers_least_loaded_then_smallest_id():
     # 15 large-large pairs in sorted order over the 9 small nodes 6..14: the
     # first nine take one idle node each, the last six reuse 6..11 in id order
     assert [dan.helpers[pair] for pair in pairs] == list(range(6, 15)) + list(range(6, 12))
-    assert max(dan.degree.values()) <= params.delta_cap
     assert stat_cost(dan, tr) == pytest.approx(
         sum(dan.depths[a][b] + dan.depths[b][a] + 2 for a, b in pairs) / len(pairs)
     )
@@ -256,9 +265,9 @@ def test_stat_cost_hub_is_expected_depth_plus_one():
     tr = Trace.from_pairs(32, pairs)
     dan = build_static_dan(tr, params)
     assert dan.large == {0}
-    tree = dan.trees[0]
-    uniform = {leaf: 1 / 7 for leaf in range(1, 8)}
-    assert stat_cost(dan, tr) == pytest.approx(expected_depth(tree, uniform) + 1.0)
+    assert sorted(dan.depths[0]) == list(range(1, 8))
+    expected_depth = sum(dan.depths[0].values()) / 7  # the seven leaves are equally likely
+    assert stat_cost(dan, tr) == pytest.approx(expected_depth + 1.0)
 
 
 def test_stat_cost_relayed_pair_sums_leg_depths():
@@ -269,8 +278,6 @@ def test_stat_cost_relayed_pair_sums_leg_depths():
     assert dan.large == {0, 1}
     helper = dan.helpers[(0, 1)]
     assert helper not in (0, 1) and helper not in dan.large
-    assert dan.trees[0].occupant_of(1) == helper
-    assert dan.trees[1].occupant_of(0) == helper
     expected = dan.depths[0][1] + dan.depths[1][0] + 2
     only_pair = Trace.from_pairs(16, [(0, 1)])
     assert stat_cost(dan, only_pair) == pytest.approx(expected)
@@ -334,7 +341,8 @@ def test_array_stat_cost_matches_dict_loop(case, data):
         dan = build_static_dan(tr, params)
     except StaticBuildError:
         assume(False)
-    for sub in (tr, tr.subrange(0, data.draw(st.integers(1, len(tr))))):
+    stop = data.draw(st.integers(1, len(tr)))
+    for sub in (tr, Trace(tr.n, tr.src[:stop], tr.dst[:stop])):
         assert stat_cost(dan, sub) == dict_loop_hop_total(dan, sub) / len(sub)
     # a pair the trace never links either way has no route in either version
     linked = {frozenset(p) for p in tr.pair_counts()}

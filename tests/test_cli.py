@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -13,7 +14,7 @@ def run_cli(*args):
 
 def test_config_round_trips():
     cfg = ExperimentConfig(workload="star", n=32, alpha=1.5, baselines="stat")
-    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    assert ExperimentConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def test_run_writes_reports(tmp_path):

@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from renet.ego_tree import RAW, UNIT, EgoTree, build_static, expected_depth
+from renet.baselines import bisect_tree
+from renet.ego_tree import RAW, UNIT, EgoTree
 
 OWNER = 100
 
@@ -121,7 +122,7 @@ def test_route_up_virtual_root_overrides_depth():
     t.adjust(4)
     for k in (9, 0):   # push 4 deeper without evicting it from the LRU set
         t.adjust(k)
-    assert 4 in t.virtual_roots()
+    assert 4 in t.vr
     assert t.depth(4) >= 2
     res = t.route_up(4)
     assert res.path == [OWNER]
@@ -150,7 +151,7 @@ def test_adjust_root_only_touches_virtual_roots():
     root_key = t.root.key
     cost = t.adjust(root_key)
     assert cost.rotations == 0
-    assert root_key in t.virtual_roots()
+    assert root_key in t.vr
 
 
 def test_adjust_missing_key():
@@ -202,45 +203,63 @@ def test_replace_occupant_rejects_owner():
         t.replace_occupant(4, OWNER)
 
 
-# -- build_static ---------------------------------------------------------------------
+# -- the static baseline's fixed weight-bisected trees (`bisect_tree`) ---------------
+
+
+def inorder(parent):
+    """Indices of a tree given by parent indices, read in order, where a child
+    of a larger index hangs on the left and one of a smaller on the right."""
+    kids = [{} for _ in parent]
+    for i, p in enumerate(parent):
+        if p >= 0:
+            assert (i < p) not in kids[p], "two children on one side"
+            kids[p][i < p] = i
+    out, stack, e = [], [], parent.index(-1)
+    while stack or e is not None:
+        while e is not None:
+            stack.append(e)
+            e = kids[e].get(True)
+        e = stack.pop()
+        out.append(e)
+        e = kids[e].get(False)
+    return out
 
 
 def test_build_static_weighted_root_choice():
-    dist = {1: 0.5, 2: 0.25, 3: 0.25}
-    t = build_static(OWNER, dist)
-    assert t.root.key == 2
-    assert t.root.left.key == 1 and t.root.right.key == 3
-    assert expected_depth(t, dist) == pytest.approx(0.75)
+    weights = [0.5, 0.25, 0.25]  # keys 1, 2, 3
+    depth, parent = bisect_tree(weights)
+    assert parent == [1, -1, 1]  # key 2 at the root, keys 1 and 3 below it
+    assert depth == [1, 0, 1]
+    assert sum(w * d for w, d in zip(weights, depth)) == pytest.approx(0.75)
     # oracle: enumerate every candidate root's split imbalance
     splits = {1: abs(0.0 - 0.5), 2: abs(0.5 - 0.25), 3: abs(0.75 - 0.0)}
     assert min(splits, key=lambda k: (splits[k], k)) == 2
 
 
 def test_build_static_uniform_balanced():
-    t = build_static(OWNER, {k: 1 / 7 for k in range(7)})
-    assert max(t.depth(k) for k in range(7)) == 2
+    depth, _ = bisect_tree([1 / 7] * 7)
+    assert max(depth) == 2
 
 
 def test_build_static_single_key():
-    t = build_static(OWNER, {3: 1.0})
-    assert t.root.key == 3
-    assert expected_depth(t, {3: 1.0}) == 0.0
+    assert bisect_tree([1.0]) == ([0], [-1])
 
 
 def test_build_static_rejects_empty():
     with pytest.raises(ValueError):
-        build_static(OWNER, {})
+        bisect_tree([])
 
 
 @given(st.dictionaries(st.integers(0, 50), st.floats(0.01, 5.0), min_size=1, max_size=30))
 @settings(max_examples=150, deadline=None)
 def test_build_static_entropy_depth_bound(weights):
     total = sum(weights.values())
-    dist = {k: w / total for k, w in weights.items()}
-    t = build_static(OWNER, dist)
-    assert t.keys_inorder() == sorted(dist)
-    h = -sum(p * math.log2(p) for p in dist.values())
-    assert expected_depth(t, dist) <= h + 2.0 + 1e-9
+    dist = [weights[k] / total for k in sorted(weights)]
+    depth, parent = bisect_tree(dist)
+    assert inorder(parent) == list(range(len(dist)))
+    assert all(d == (depth[p] + 1 if p >= 0 else 0) for d, p in zip(depth, parent))
+    h = -sum(p * math.log2(p) for p in dist)
+    assert sum(p * d for p, d in zip(dist, depth)) <= h + 2.0 + 1e-9
 
 
 # -- virtual-root policy -----------------------------------------------------------
@@ -250,10 +269,10 @@ def test_virtual_roots_lru_eviction():
     t = make_tree(list(range(6)), vr_capacity=2)
     t.adjust(0)
     t.adjust(1)
-    assert t.virtual_roots() == (0, 1)
+    assert tuple(t.vr) == (0, 1)
     t.adjust(0)            # refresh 0
     t.adjust(2)            # evicts 1, the least recently used
-    assert set(t.virtual_roots()) == {0, 2}
+    assert set(t.vr) == {0, 2}
 
 
 def test_virtual_roots_fifo_policy():
@@ -262,14 +281,19 @@ def test_virtual_roots_fifo_policy():
     t.adjust(1)
     t.adjust(0)            # no refresh under fifo
     t.adjust(2)            # evicts 0, the first comer
-    assert set(t.virtual_roots()) == {1, 2}
+    assert set(t.vr) == {1, 2}
 
 
 def test_virtual_root_admission_guard():
-    t = make_tree(list(range(4)), vr_capacity=3, vr_admit=lambda occ: occ % 2 == 0)
-    t.adjust(1)
-    t.adjust(2)
-    assert t.virtual_roots() == (2,)
+    # an accessed entry becomes a virtual root only while its occupant is
+    # below the degree cap; a splayed entry keeps its owner link and a child,
+    # so the odd occupants sit at the cap (3 exactly) or above it
+    t = make_tree(list(range(4)), vr_capacity=3, degree_cap=8)
+    for occ in (1, 3):
+        t.degree[occ] += 6
+    for key in (1, 2, 3, 0):
+        t.adjust(key)
+    assert tuple(t.vr) == (2, 0)
 
 
 # -- accounting conservation ---------------------------------------------------------

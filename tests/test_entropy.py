@@ -351,7 +351,7 @@ def _loop_all(counts, base):
 
 
 def _loop_report(trace, window, stride, base):
-    pairs = trace.pairs()
+    pairs = list(zip(trace.src.tolist(), trace.dst.tolist()))
     return [
         (t, *_loop_all(Counter(pairs[max(0, t - window):t]), base), *_loop_all(Counter(pairs[:t]), base))
         for t in range(stride, len(pairs) + 1, stride)
@@ -388,7 +388,7 @@ def test_report_and_demand_entropy_equal_the_dict_loops(trace, data, base):
 
     start = data.draw(st.integers(0, m - 1), label="start")
     stop = data.draw(st.integers(start + 1, m), label="stop")
-    counts = Counter(trace.pairs()[start:stop])
+    counts = Counter(zip(trace.src[start:stop].tolist(), trace.dst[start:stop].tolist()))
     _, _, hygx, hxgy = _loop_all(counts, base)
     assert demand_entropy(trace, base, start, stop) == max(hygx, hxgy)
 

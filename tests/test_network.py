@@ -371,7 +371,7 @@ def test_degree_overflow_sheds_a_virtual_root(monkeypatch):
     assert net.path_failures == 0
     assert evicted
     for owner, key in evicted:
-        assert key not in net.nodes[owner].tree.virtual_roots()
+        assert key not in net.nodes[owner].tree.vr
     assert max(net.degree) <= net.params.delta_cap
     assert net.validate_invariants() == []
 
@@ -603,7 +603,7 @@ def test_virtual_roots_disabled_still_clean():
     replay_trace(net, tr)
     assert net.validate_invariants() == []
     hub_tree = net.nodes[0].tree
-    assert hub_tree is None or hub_tree.virtual_roots() == ()
+    assert hub_tree is None or not hub_tree.vr
 
 
 def test_mid_route_reset_restarts_from_source():
@@ -656,8 +656,8 @@ def test_replay_trace_matches_the_ledger_append_path():
     appended = CostLedger()
     for u, v in zip(tr.src.tolist(), tr.dst.tolist()):
         appended.append(*net.serve_request(u, v))
-    assert len(appended.reset_marks) == 36
-    for column in ("hops", "adjust", "coord", "reset", "reset_marks"):
+    assert sum(1 for r in appended.reset if r) == 36
+    for column in ("hops", "adjust", "coord", "reset"):
         assert getattr(replayed, column) == getattr(appended, column)
 
 

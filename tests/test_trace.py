@@ -23,6 +23,11 @@ from renet.trace import (
 )
 
 
+def requests(trace):
+    """The trace's requests as a list of (src, dst) int tuples."""
+    return list(zip(trace.src.tolist(), trace.dst.tolist()))
+
+
 def torus_directed_edges(side):
     edges = set()
     for x in range(side):
@@ -57,7 +62,7 @@ def test_pair_counts():
 
 def loop_sparsity(trace, params):
     """The sliding-window pass with a pair multiset, one request at a time."""
-    pairs = trace.pairs()
+    pairs = requests(trace)
     counts = {}
     distinct = worst = worst_start = 0
     for i, pair in enumerate(pairs):
@@ -166,7 +171,7 @@ def test_demand_graph_weights_sum_to_one(pairs):
 def test_torus_requests_are_torus_edges():
     tr = generate(Torus(16, 1000), seed=7)
     edges = torus_directed_edges(4)
-    seen = set(tr.pairs())
+    seen = set(requests(tr))
     assert seen <= edges
     assert len(seen) <= 64  # at most 4n directed pairs
     # out-neighborhoods stay within the grid degree
@@ -183,7 +188,7 @@ def test_torus_rejects_non_square():
 
 def test_star_alpha_zero_leaf_entropy():
     tr = generate(StarZipf(8, 40000, 0.0), seed=3)
-    leaves = [v if u == 0 else u for u, v in tr.pairs()]
+    leaves = [v if u == 0 else u for u, v in requests(tr)]
     counts = {}
     for leaf in leaves:
         counts[leaf] = counts.get(leaf, 0) + 1
@@ -199,12 +204,12 @@ def test_star_rejects_negative_alpha():
 def test_round_robin_phase_sparsity_and_union():
     tr = generate(RoundRobinGrids(16, 2, 500), seed=5)
     assert len(tr) == 1000
-    phase1, phase2 = tr.subrange(0, 500), tr.subrange(500, 1000)
+    phase1, phase2 = Trace(16, tr.src[:500], tr.dst[:500]), Trace(16, tr.src[500:], tr.dst[500:])
     for phase in (phase1, phase2):
         assert sparsity_check(phase, SparsityParams(c=4, delta=500)).ok
-    u1 = set(phase1.pairs())
-    u2 = set(phase2.pairs())
-    union = set(tr.pairs())
+    u1 = set(requests(phase1))
+    u2 = set(requests(phase2))
+    union = set(requests(tr))
     assert len(union) <= len(u1) + len(u2)
     assert len(union) > max(len(u1), len(u2))  # relabeled phases differ
 
@@ -217,13 +222,13 @@ def test_round_robin_rejects_no_phases():
 def test_product_dist_no_self_requests():
     w = tuple(zipf_weights(16, 1.0).tolist())
     tr = generate(ProductDist(16, 5000, w, tuple(reversed(w))), seed=2)
-    assert not any(u == v for u, v in tr.pairs())
+    assert not any(u == v for u, v in requests(tr))
 
 
 def test_uniform_pairs_covers_universe():
     tr = generate(UniformPairs(8, 5000), seed=4)
-    assert not any(u == v for u, v in tr.pairs())
-    assert len(set(tr.pairs())) == 8 * 7  # all ordered pairs show up
+    assert not any(u == v for u, v in requests(tr))
+    assert len(set(requests(tr))) == 8 * 7  # all ordered pairs show up
 
 
 def test_generation_reproducible():
@@ -245,7 +250,7 @@ def test_trace_csv_roundtrip():
     buf.seek(0)
     back = read_trace_csv(buf)
     assert back.n == tr.n
-    assert back.pairs() == tr.pairs()
+    assert requests(back) == requests(tr)
 
 
 def test_trace_csv_rejects_missing_header():
