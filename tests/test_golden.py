@@ -1,15 +1,19 @@
-"""Golden outputs: `renet run` writes these exact bytes for four small configs.
+"""Golden outputs: `renet run` writes these exact bytes for four small configs,
+and `renet entropy` writes these exact bytes for two.
 
-The ledger, the window report and the summary are the simulator's output
-contract.  A change that moves any byte of them must say which rows change
+The ledger, the window report, the summary and the entropy report are the
+simulator's output contract.  A change that moves any byte of them must say which rows change
 and why, and re-record the hashes here.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from renet.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = {
     # every node small, static baseline built from direct links only
@@ -44,3 +48,19 @@ def test_run_outputs_match_golden_hashes(tmp_path, args):
     assert main(["run", "--workload", *args, "--out", str(tmp_path)]) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN[args]}
     assert got == GOLDEN[args]
+
+
+ENTROPY_GOLDEN = {
+    # the strided report: 100 samples, a trailing window of m // 10
+    ("--workload", "torus", "--n", "1024", "--m", "50000", "--stride", "500"):
+        "a8185800f8bd70580f858341b3f0973cbd2e91c6cbf9569adf4f6d5a60d7b6fc",
+    # the shipped star config at a small size: 3 samples of one hub's demand
+    ("--config", str(CONFIGS / "star_entropy.json"), "--n", "64", "--m", "30000"):
+        "338693ce9fc205076d090a4c7037c9d21601cf85456d0935fdedd5f506008613",
+}
+
+
+@pytest.mark.parametrize("args", list(ENTROPY_GOLDEN), ids=["entropy-torus-strided", "entropy-star-config"])
+def test_entropy_report_matches_golden_hash(tmp_path, args):
+    assert main(["entropy", *args, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "entropy.csv").read_bytes()).hexdigest() == ENTROPY_GOLDEN[args]
