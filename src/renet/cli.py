@@ -312,11 +312,10 @@ def cmd_entropy(cfg: ExperimentConfig) -> int:
     trace = build_trace(cfg, cfg.seed)
     window = cfg.window or max(1, len(trace) // 10)
     stride = cfg.stride or window
-    if window < 1 or stride < 1:
-        raise ConfigError(f"window and stride must be >= 1, got window {window}, stride {stride}")
-    if window > len(trace):
-        raise ConfigError(f"window {window} exceeds the trace length {len(trace)}")
-    rows = windowed_entropy_report(trace, window, stride, base=2.0)
+    try:
+        rows = windowed_entropy_report(trace, window, stride, base=2.0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     base = Path(cfg.out)
     base.mkdir(parents=True, exist_ok=True)
     with open(base / "entropy.csv", "w") as fh:

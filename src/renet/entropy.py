@@ -11,9 +11,9 @@ Every result is bit-identical from run to run and equal to summing in
 sorted key order: frequencies are ``count / total``; row and column sums are
 `np.bincount` with weights, which adds each bin's entries left to right in
 array order (ascending y within a row, ascending x within a column); the
-logs come from `math.log`; and the sum over rows is a `np.cumsum`, which is
-sequential as well.  `np.sum` and `np.add.reduceat` sum pairwise and would
-move the last bits.
+logs come from `math.log`, called once per distinct frequency; and the sum
+over rows is a `np.cumsum`, which is sequential as well.  `np.sum` and
+`np.add.reduceat` sum pairwise and would move the last bits.
 
 The dict API (`entropy`, `marginals`, `conditional_entropy`, ...) takes a
 distribution as a plain mapping ``key -> frequency`` and a joint
@@ -62,10 +62,12 @@ def normalized(counts: Mapping) -> dict:
 
 
 def _neg_plogp(p: np.ndarray) -> np.ndarray:
-    """-p * log(p) per entry.  The logs come from `math.log`: `np.log` may
-    differ from it in the last ulp."""
-    logs = np.fromiter(map(math.log, p.tolist()), dtype=np.float64, count=len(p))
-    return -(p * logs)
+    """-p * log(p) per entry.  The logs come from `math.log`, once per
+    distinct value of `p` (frequencies repeat a lot): `np.log` may differ
+    from it in the last ulp."""
+    distinct, inverse = np.unique(p, return_inverse=True)
+    logs = np.fromiter(map(math.log, distinct.tolist()), dtype=np.float64, count=len(distinct))
+    return -(p * logs[inverse])
 
 
 def _entropy(p: np.ndarray, lb: float) -> float:
@@ -235,14 +237,17 @@ def windowed_entropy_report(trace, window: int, stride: int, base: float = 2.0) 
     """Entropies of the running prefix and of a trailing window.
 
     Sampled at every multiple of `stride`; the trailing window covers the last
-    `window` requests (clamped to the prefix while t < window).
+    `window` requests (clamped to the prefix while t < window).  Raises
+    ValueError unless 1 <= window, stride <= len(trace).
     """
     _check_base(base)
     if window < 1 or stride < 1:
-        raise ValueError("window and stride must be >= 1")
+        raise ValueError(f"window and stride must be >= 1, got window {window}, stride {stride}")
     m = len(trace)
     if window > m:
-        raise ValueError(f"window {window} exceeds trace length {m}")
+        raise ValueError(f"window {window} exceeds the trace length {m}")
+    if stride > m:
+        raise ValueError(f"stride {stride} exceeds the trace length {m}")
     n = trace.n
     codes, inverse = np.unique(trace.src * n + trace.dst, return_inverse=True)
     x, y = np.divmod(codes, n)

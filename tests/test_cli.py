@@ -188,7 +188,8 @@ def test_entropy_command(tmp_path):
 @pytest.mark.parametrize("flags, words", [
     (["--window", "500", "--m", "100"], "window 500 exceeds the trace length 100"),
     (["--stride", "-3"], "stride -3"),
-], ids=["window-over-m", "negative-stride"])
+    (["--window", "50", "--stride", "500", "--m", "100"], "stride 500 exceeds the trace length 100"),
+], ids=["window-over-m", "negative-stride", "stride-over-m"])
 def test_entropy_bad_window_or_stride_exits_two(tmp_path, capsys, flags, words):
     assert run_cli("entropy", "--workload", "torus", "--n", "16", *flags, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err.splitlines()

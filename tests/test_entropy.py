@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from renet.entropy import (
     X_GIVEN_Y,
     Y_GIVEN_X,
+    _neg_plogp,
     averaged_entropy_bounds,
     conditional_entropy,
     demand_entropy,
@@ -279,6 +280,8 @@ def test_windowed_report_rejects_bad_args():
         windowed_entropy_report(tr, window=5, stride=0)
     with pytest.raises(ValueError):
         windowed_entropy_report(tr, window=11, stride=1)
+    with pytest.raises(ValueError, match="stride 11 exceeds the trace length 10"):
+        windowed_entropy_report(tr, window=5, stride=11)
 
 
 # -- exact equality with the dict-loop definition ------------------------------
@@ -402,3 +405,26 @@ def test_dict_api_equals_the_dict_loops(joint, base):
     assert joint_entropy(joint, base) == _loop_entropy(joint, base)
     for direction in (Y_GIVEN_X, X_GIVEN_Y):
         assert conditional_entropy(joint, direction, base) == _loop_conditional(joint, direction, base)
+
+
+# -- the -p log p kernel under heavy ties --------------------------------------
+
+TINY = [5e-324, 2.2250738585072014e-308, 1e-300, 1e-20]
+
+
+@st.composite
+def tied_frequencies(draw):
+    """1..5000 positive floats drawn from a pool of at most 64, so most repeat:
+    1.0, subnormal and tiny values, and count / total ratios."""
+    ratio = st.integers(1, 10**6).flatmap(lambda t: st.integers(1, t).map(lambda c: c / t))
+    pool = draw(st.lists(st.one_of(st.just(1.0), st.sampled_from(TINY), ratio), min_size=1, max_size=64))
+    size = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array(pool, dtype=np.float64)[rng.integers(0, len(pool), size)]
+
+
+@given(tied_frequencies())
+@settings(max_examples=200, deadline=None)
+def test_neg_plogp_is_bit_equal_to_a_log_per_element(p):
+    oracle = -(p * np.array([math.log(v) for v in p.tolist()], dtype=np.float64))
+    assert _neg_plogp(p).tobytes() == oracle.tobytes()

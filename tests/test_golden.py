@@ -2,8 +2,8 @@
 and `renet entropy` writes these exact bytes for two.
 
 The ledger, the window report, the summary and the entropy report are the
-simulator's output contract.  A change that moves any byte of them must say which rows change
-and why, and re-record the hashes here.
+simulator's output contract.  A change that moves any byte of them must say
+which rows change and why, and re-record the hashes here.
 """
 
 import hashlib
