@@ -153,14 +153,8 @@ def build_trace(cfg: ExperimentConfig, seed: int) -> Trace:
 
 def make_params(cfg: ExperimentConfig, n: int) -> NetParams:
     try:
-        return NetParams.make(
-            n=n,
-            c=cfg.c,
-            D=cfg.D or None,
-            rotation_accounting=cfg.rotation_accounting,
-            virtual_root_capacity=None if cfg.virtual_roots < 0 else cfg.virtual_roots,
-            vr_policy=cfg.vr_policy,
-        )
+        # the config's sentinels (D = 0, virtual_roots = -1) are NetParams' own
+        return NetParams(n, cfg.c, cfg.D, cfg.rotation_accounting, cfg.virtual_roots, cfg.vr_policy)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -11,8 +11,10 @@ Requests are served by four roles: the source picks the first edge from its
 own table, forwarders walk tree links, the destination splays the tree that
 delivered the packet, and a central coordinator handles route additions,
 small-to-large conversions, helper assignment, and full resets once the
-working sets fill up.  Every forwarding decision reads only the deciding
-node's own state.
+working sets fill up.  A conversion re-wires each partner by the
+route-addition rule, so a helper is seated the same way for a new pair, a
+converted node's large partner, and a duty handed off.  Every forwarding
+decision reads only the deciding node's own state.
 
 The trees' structure and the S sets are the only record of the physical
 links; `edges` derives the multiset from them on demand.  Node degrees are
@@ -49,7 +51,7 @@ from collections import Counter
 from heapq import heappop, heappush
 from itertools import compress, count
 from operator import ne
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Optional
 
 from .ego_tree import UNIT, DownRoute, EgoTree, TreeCost, _Entry, check_tree_modes, edge_key
@@ -67,66 +69,41 @@ class HelperExhaustion(InvariantError):
 
 @dataclass(frozen=True)
 class NetParams:
-    """Network constants; use `make` to derive the dependent fields."""
+    """Network constants.  θ = max(2, ⌈4c⌉), the degree cap 6θ and the
+    reset threshold ⌊nθ/2⌋ are derived here; D = 0 means ⌈log2 n⌉ and a
+    negative virtual-root capacity means 6θ - 1."""
 
     n: int
     c: float
-    theta: int
-    delta_cap: int
-    D: int
-    reset_threshold: int
+    theta: int = field(init=False)
+    delta_cap: int = field(init=False)
+    D: int = 0
+    reset_threshold: int = field(init=False)
     rotation_accounting: str = UNIT
-    virtual_root_capacity: int = 0
+    virtual_root_capacity: int = -1
     vr_policy: str = "lru"
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least two nodes")
-        theta = self._theta_for(self.c)
+        if not math.isfinite(self.c):  # a snapshot may carry an infinite or NaN c
+            raise ValueError(f"sparsity constant c must be finite, got {self.c}")
         if not self.c >= 0.5:
             raise ValueError(f"sparsity constant c must be >= 0.5 so that 2c >= 1, got {self.c}")
-        if self.theta != theta:
-            raise ValueError(f"theta must be ceil(4c) >= 2, got {self.theta}")
-        if self.delta_cap != 6 * self.theta:
-            raise ValueError("degree cap must equal 6 * theta")
-        if self.reset_threshold != (self.n * self.theta) // 2:
-            raise ValueError("reset threshold must be floor(n * theta / 2)")
-        if not (0 <= self.virtual_root_capacity <= self.delta_cap - 1):
+        theta = max(2, math.ceil(4 * self.c))
+        delta_cap = 6 * theta
+        derived = {"theta": theta, "delta_cap": delta_cap, "reset_threshold": (self.n * theta) // 2}
+        if self.D == 0:
+            derived["D"] = max(1, math.ceil(math.log2(self.n)))
+        if self.virtual_root_capacity < 0:
+            derived["virtual_root_capacity"] = delta_cap - 1
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        if self.virtual_root_capacity > self.delta_cap - 1:
             raise ValueError("virtual root capacity must lie in [0, degree cap - 1]")
         if self.D < 1:
             raise ValueError("oblivious message cost D must be >= 1")
         check_tree_modes(self.rotation_accounting, self.vr_policy)
-
-    @staticmethod
-    def _theta_for(c: float) -> int:
-        """θ = max(2, ⌈4c⌉) for a finite c (a snapshot may carry an infinite or NaN one)."""
-        if not math.isfinite(c):
-            raise ValueError(f"sparsity constant c must be finite, got {c}")
-        return max(2, math.ceil(4 * c))
-
-    @classmethod
-    def make(
-        cls,
-        n: int,
-        c: float,
-        D: Optional[int] = None,
-        rotation_accounting: str = UNIT,
-        virtual_root_capacity: Optional[int] = None,
-        vr_policy: str = "lru",
-    ) -> "NetParams":
-        theta = cls._theta_for(c)
-        delta_cap = 6 * theta
-        return cls(
-            n=n,
-            c=c,
-            theta=theta,
-            delta_cap=delta_cap,
-            D=max(1, math.ceil(math.log2(n))) if D is None else D,
-            reset_threshold=(n * theta) // 2,
-            rotation_accounting=rotation_accounting,
-            virtual_root_capacity=delta_cap - 1 if virtual_root_capacity is None else virtual_root_capacity,
-            vr_policy=vr_policy,
-        )
 
 
 class NodeState:
@@ -354,12 +331,18 @@ class Network:
         self.total_ws += 2
         if ctx.debug:
             ctx.touched_nodes.update((u, v))
-        if not su.large and len(su.working) == p.theta + 1:
-            self._make_large(ctx, u, no_splay_tree)
-        if not sv.large and len(sv.working) == p.theta + 1:
-            self._make_large(ctx, v, no_splay_tree)
-        if self._pair_linked(u, v):
-            return
+        # a conversion re-wires every partner in W, this one included
+        converts = [x for x, s in ((u, su), (v, sv)) if not s.large and len(s.working) == p.theta + 1]
+        for x in converts:
+            self._make_large(ctx, x, no_splay_tree)
+        if not converts:
+            self._link_pair(ctx, u, v, no_splay_tree)
+
+    def _link_pair(self, ctx: _Ctx, u: int, v: int, no_splay_tree: Optional[int]) -> None:
+        """Wire a pair by its size classes: a direct link between two small
+        nodes, a membership in the large end's tree, or a helper seated in
+        both trees."""
+        su, sv = self.nodes[u], self.nodes[v]
         if not su.large and not sv.large:
             su.S.add(v)
             sv.S.add(u)
@@ -367,73 +350,59 @@ class Network:
             self.degree[v] += 1
             ctx.adjust += 1
             self._shed_virtual_roots(ctx, (u, v))
-        elif su.large and not sv.large:
+        elif not sv.large:
             self._tree_insert(ctx, u, v, v, no_splay_tree)
             sv.trees_in.add(u)
-        elif not su.large and sv.large:
+        elif not su.large:
             self._tree_insert(ctx, v, u, u, no_splay_tree)
             su.trees_in.add(v)
         else:
-            x = self.find_helper(u, v)
-            ctx.coord += p.D
-            self._tree_insert(ctx, u, v, x, no_splay_tree)
-            self._tree_insert(ctx, v, u, x, no_splay_tree)
-            self.assign_helper(x, edge_key(u, v))
-            if ctx.debug:
-                ctx.touched_nodes.add(x)
+            self._seat_helper(ctx, (u, v), self.find_helper(u, v), no_splay_tree)
 
-    def _pair_linked(self, u: int, v: int) -> bool:
-        su, sv = self.nodes[u], self.nodes[v]
-        return v in su.S or (su.large and v in su.tree) or (sv.large and u in sv.tree)
+    def _seat_helper(self, ctx: _Ctx, pair: tuple[int, int], x: int, no_splay_tree: Optional[int]) -> None:
+        """Seat helper x in the trees of both ends of `pair`, the first end's
+        first (each operation may shed virtual roots, so the order shows in
+        the costs); x takes over a key already present, else is inserted."""
+        ctx.coord += self.params.D
+        a, b = pair
+        for owner, key in ((a, b), (b, a)):
+            tree = self.nodes[owner].tree
+            if key in tree:
+                self._settle(ctx, tree, tree.replace_occupant(key, x))
+            else:
+                self._tree_insert(ctx, owner, key, x, no_splay_tree)
+        self.assign_helper(x, edge_key(a, b))
+        if ctx.debug:
+            ctx.touched_nodes.add(x)
 
     def _tree_insert(self, ctx: _Ctx, owner: int, key: int, occupant: int, no_splay_tree: Optional[int]) -> None:
         tree = self.nodes[owner].tree
         self._settle(ctx, tree, tree.insert(key, occupant, splay=(owner != no_splay_tree)))
 
     def _make_large(self, ctx: _Ctx, u: int, no_splay_tree: Optional[int]) -> None:
-        p = self.params
         su = self.nodes[u]
         # shed helper duties first; only small nodes may relay
         for pair in sorted(su.helping):
-            a, b = pair
-            x2 = self.find_helper(a, b, exclude=(u,))
-            ctx.coord += p.D
-            for owner, key in ((a, b), (b, a)):
-                t = self.nodes[owner].tree
-                self._settle(ctx, t, t.replace_occupant(key, x2))
-            self.assign_helper(x2, pair)
-            if ctx.debug:
-                ctx.touched_nodes.add(x2)
+            self._seat_helper(ctx, pair, self.find_helper(*pair, exclude=(u,)), no_splay_tree)
         su.helping.clear()
         su.large = True
         su.tree = self._new_tree(u)
+        if ctx.debug:
+            ctx.touched_nodes.update(su.working)
+        # each partner pays D, loses its direct link and is re-wired by the
+        # route-addition rule, one partner at a time: dropping every direct link
+        # up front would lower degrees earlier and change what the cap sheds
         for v in sorted(su.working):
-            sv = self.nodes[v]
-            ctx.coord += p.D
-            if not sv.large:
-                if v in su.S:
-                    su.S.discard(v)
-                    sv.S.discard(u)
-                    self.degree[u] -= 1
-                    self.degree[v] -= 1
-                    ctx.adjust += 1
-                self._tree_insert(ctx, u, v, v, no_splay_tree)
-                sv.trees_in.add(u)
-                if ctx.debug:
-                    ctx.touched_nodes.add(v)
-            else:
-                x = self.find_helper(u, v)
-                ctx.coord += p.D
-                self._tree_insert(ctx, u, v, x, no_splay_tree)
-                tv = sv.tree
-                if u in tv:
-                    self._settle(ctx, tv, tv.replace_occupant(u, x))
-                    su.trees_in.discard(v)
-                else:
-                    self._tree_insert(ctx, v, u, x, no_splay_tree)
-                self.assign_helper(x, edge_key(u, v))
-                if ctx.debug:
-                    ctx.touched_nodes.add(x)
+            ctx.coord += self.params.D
+            if v in su.S:
+                su.S.discard(v)
+                self.nodes[v].S.discard(u)
+                self.degree[u] -= 1
+                self.degree[v] -= 1
+                ctx.adjust += 1
+            su.trees_in.discard(v)
+            self._link_pair(ctx, u, v, no_splay_tree)
+        # cannot fire: S and trees_in lie inside W, and the loop clears both per partner
         if su.S or su.trees_in:
             raise InvariantError(f"make_large({u}) left stale table entries")
 
@@ -664,7 +633,12 @@ class Network:
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "Network":
-        params = NetParams(**snap["params"])
+        given = snap["params"]
+        params = NetParams(**{f.name: given[f.name] for f in fields(NetParams) if f.init})
+        derived = asdict(params)
+        if derived != given:
+            name = min(k for k in derived.keys() | given.keys() if derived.get(k) != given.get(k))
+            raise ValueError(f"snapshot param {name} = {given.get(name)!r}, but n and c give {derived.get(name)!r}")
         _check_snapshot_ids(snap, params.n)
         net = cls(params)
         large_ids = set(snap["size_classes"]["large"])

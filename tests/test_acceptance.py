@@ -49,7 +49,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 
 def run_with_sweeps(trace, c=C, validate_every=500):
-    net = Network(NetParams.make(trace.n, c))
+    net = Network(NetParams(trace.n, c))
     net.debug_checks = True
     ledger = CostLedger()
     pairs = zip(trace.src.tolist(), trace.dst.tolist())
@@ -184,7 +184,7 @@ def torus_scaling_runs():
     results = {}
     for n in (256, 1024, 4096):
         trace = generate(Torus(n, 10**6), seed=11)
-        net = Network(NetParams.make(n, C))
+        net = Network(NetParams(n, C))
         ledger = replay_trace(net, trace)
         assert net.validate_invariants() == []
         results[n] = {
@@ -221,7 +221,7 @@ def test_criterion_6_static_optimality_ratio():
     rhos = {}
     for label, spec in (("torus", Torus(1024, 10**6)), ("star_a1", StarZipf(1024, 10**6, 1.0))):
         trace = generate(spec, seed=21)
-        net = Network(NetParams.make(1024, C))
+        net = Network(NetParams(1024, C))
         ledger = replay_trace(net, trace)
         half = len(trace) // 2
         params = net.params
@@ -250,7 +250,7 @@ def test_criterion_7_reconfiguration_gap():
         k = 8
         m_each = n * max(1, math.ceil(math.log2(n)))
         trace = generate(RoundRobinGrids(n, k, m_each), seed=31)
-        net = Network(NetParams.make(n, C))
+        net = Network(NetParams(n, C))
         ledger = replay_trace(net, trace)
         renet_avg = average_cost(ledger, include_coord=False)
         obl_avg = oblivious_cost(ObliviousNet.build(n), trace)
@@ -313,7 +313,7 @@ def test_criterion_8_splay_cost_budget():
 
 
 def test_criterion_9_reset_semantics():
-    params = NetParams.make(8, 0.5)  # theta 2, threshold 8 seats
+    params = NetParams(8, 0.5)  # theta 2, threshold 8 seats
     net = Network(params)
     net.debug_checks = True
     for u, v in ((0, 1), (2, 3), (4, 5), (6, 7)):

@@ -171,7 +171,7 @@ def test_lower_bound_rejects_degree_one():
 
 
 def test_static_dan_torus_all_direct():
-    params = NetParams.make(64, 4)  # theta 16 > grid degree: everyone stays small
+    params = NetParams(64, 4)  # theta 16 > grid degree: everyone stays small
     tr = generate(Torus(64, 4000), seed=3)
     dan = build_static_dan(tr, params)
     assert not dan.large
@@ -179,7 +179,7 @@ def test_static_dan_torus_all_direct():
 
 
 def test_static_dan_star_hub_tree_entropy_depth():
-    params = NetParams.make(256, 4)
+    params = NetParams(256, 4)
     tr = generate(StarZipf(256, 30000, 1.0), seed=4)
     dan = build_static_dan(tr, params)
     assert dan.large == {0}
@@ -196,7 +196,7 @@ def test_static_dan_star_hub_tree_entropy_depth():
 def test_static_dan_degree_cap_verified(monkeypatch):
     # hubs 0 and 1 with 13 small partners each and a pair between them,
     # relayed by a helper that is no hub's partner
-    params = NetParams.make(64, 0.5)  # theta 2, degree cap 12, at most 32 unique pairs
+    params = NetParams(64, 0.5)  # theta 2, degree cap 12, at most 32 unique pairs
     pairs = [(0, v) for v in range(16, 29)] + [(1, v) for v in range(29, 42)] + [(0, 1)]
     tr = Trace.from_pairs(64, pairs)
     helper = build_static_dan(tr, params).helpers[(0, 1)]
@@ -213,14 +213,14 @@ def test_static_dan_degree_cap_verified(monkeypatch):
 
 
 def test_static_dan_rejects_dense_demand():
-    params = NetParams.make(16, 0.5)  # cap: 8 unique pairs
+    params = NetParams(16, 0.5)  # cap: 8 unique pairs
     pairs = [(u, v) for u in range(4) for v in range(4, 8)]
     with pytest.raises(StaticBuildError):
         build_static_dan(Trace.from_pairs(16, pairs), params)
 
 
 def test_static_helpers_least_loaded_then_smallest_id():
-    params = NetParams.make(15, 1)  # theta 4, helper load <= 2, at most 15 unique pairs
+    params = NetParams(15, 1)  # theta 4, helper load <= 2, at most 15 unique pairs
     hubs = range(6)  # each hub's 5 partners are the other hubs, so all six are large
     pairs = [(a, b) for a in hubs for b in hubs if a < b]
     tr = Trace.from_pairs(15, pairs)
@@ -243,21 +243,21 @@ def test_static_helper_exhaustion_is_a_build_error(monkeypatch):
     monkeypatch.setattr(Network, "find_helper", exhausted)
     pairs = [(0, v) for v in (3, 4, 5)] + [(1, v) for v in (6, 7, 8)] + [(0, 1)]
     with pytest.raises(StaticBuildError, match=r"no helper available for static pair \(0, 1\)"):
-        build_static_dan(Trace.from_pairs(16, pairs), NetParams.make(16, 0.5))
+        build_static_dan(Trace.from_pairs(16, pairs), NetParams(16, 0.5))
 
 
 # -- static replay ------------------------------------------------------------------
 
 
 def test_stat_cost_all_direct_is_one():
-    params = NetParams.make(8, 1)
+    params = NetParams(8, 1)
     tr = Trace.from_pairs(8, [(0, 1), (1, 0), (2, 3)] * 5)
     dan = build_static_dan(tr, params)
     assert stat_cost(dan, tr) == pytest.approx(1.0)
 
 
 def test_stat_cost_hub_is_expected_depth_plus_one():
-    params = NetParams.make(32, 0.5)  # theta 2: the hub of 7 partners is large
+    params = NetParams(32, 0.5)  # theta 2: the hub of 7 partners is large
     pairs = []
     for leaf in range(1, 8):
         pairs.append((0, leaf))
@@ -271,7 +271,7 @@ def test_stat_cost_hub_is_expected_depth_plus_one():
 
 
 def test_stat_cost_relayed_pair_sums_leg_depths():
-    params = NetParams.make(16, 0.5)  # theta 2
+    params = NetParams(16, 0.5)  # theta 2
     pairs = [(0, v) for v in (3, 4, 5)] + [(1, v) for v in (6, 7, 8)] + [(0, 1)]
     tr = Trace.from_pairs(16, pairs)
     dan = build_static_dan(tr, params)
@@ -284,7 +284,7 @@ def test_stat_cost_relayed_pair_sums_leg_depths():
 
 
 def test_stat_cost_missing_pair_rejected():
-    params = NetParams.make(8, 1)
+    params = NetParams(8, 1)
     tr = Trace.from_pairs(8, [(0, 1)])
     dan = build_static_dan(tr, params)
     with pytest.raises(ValueError):
@@ -320,7 +320,7 @@ def static_cases(draw):
     """A trace of a few hubs with about theta partners each, some of them
     other hubs, plus stray pairs; so builds have large nodes and relayed pairs."""
     n = draw(st.integers(8, 32))
-    params = NetParams.make(n, draw(st.sampled_from([0.5, 1.0, 2.0])))
+    params = NetParams(n, draw(st.sampled_from([0.5, 1.0, 2.0])))
     node = st.integers(0, n - 1)
     hubs = draw(st.integers(1, 3))
     pairs = [(a, b) for a in range(hubs) for b in range(hubs) if a != b and draw(st.booleans())]

@@ -224,6 +224,13 @@ def test_compare_bad_n_list_exits_two(tmp_path, capsys, n_list, words):
     assert len(err) == 1 and err[0].startswith("config error:") and words in err[0]
 
 
+def test_compare_node_count_below_one_exits_two(tmp_path, capsys):
+    # NetParams checks n before it derives D = ceil(log2 n)
+    assert run_cli("compare", "--n-list", "0", "--workloads", "torus", "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: need at least two nodes"]
+
+
 def test_validate_clean_and_corrupted_snapshots(tmp_path):
     out = tmp_path / "out"
     run_cli("run", "--workload", "star", "--n", "16", "--m", "400", "--c", "0.5",
@@ -295,6 +302,22 @@ def test_validate_rejects_non_finite_c(tmp_path, capsys, c):
     assert run_cli("validate", str(bad_path)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0] == f"cannot load snapshot: sparsity constant c must be finite, got {c}"
+
+
+@pytest.mark.parametrize("name, value", [
+    ("theta", 5), ("delta_cap", 30), ("reset_threshold", 20), ("D", 0), ("virtual_root_capacity", -1),
+])
+def test_validate_rejects_params_that_disagree_with_n_and_c(tmp_path, capsys, name, value):
+    out = tmp_path / "out"
+    assert run_cli("run", "--workload", "star", "--n", "16", "--m", "300", "--c", "1", "--out", str(out)) == 0
+    snap = json.loads((out / "snapshot.json").read_text())
+    snap["params"][name] = value
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(snap))
+    capsys.readouterr()
+    assert run_cli("validate", str(bad_path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"cannot load snapshot: snapshot param {name} = {value}")
 
 
 def test_debug_env_enables_per_request_sweeps(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from renet.trace import ProductDist, StarZipf, Torus, Trace, UniformPairs, gener
 
 
 def fresh(n, c, **kw):
-    net = Network(NetParams.make(n, c, **kw))
+    net = Network(NetParams(n, c, **kw))
     net.debug_checks = True
     return net
 
@@ -34,35 +35,57 @@ def product_zipf(n, m):
 
 
 def test_params_formulas():
-    p = NetParams.make(8, 1)
+    p = NetParams(8, 1)
     assert (p.theta, p.delta_cap, p.reset_threshold) == (4, 24, 16)
     assert p.D == 3  # ceil(log2 8)
 
 
 def test_params_small_c():
-    p = NetParams.make(2, 0.5)
+    p = NetParams(2, 0.5)
     assert (p.theta, p.delta_cap) == (2, 12)
 
 
 def test_params_reject_single_node():
     with pytest.raises(ValueError):
-        NetParams.make(1, 1)
+        NetParams(1, 1)
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_params_reject_node_counts_below_one(n):
+    # checked before D = ceil(log2 n) is derived, which has no value here
+    with pytest.raises(ValueError, match="need at least two nodes"):
+        NetParams(n, 1)
 
 
 @pytest.mark.parametrize("c", [0.49, 0.25, 0, -1])
 def test_params_reject_c_below_half(c):
     # 2c < 1 would leave every node without room for a single helper duty
     with pytest.raises(ValueError, match="c must be >= 0.5"):
-        NetParams.make(16, c)
+        NetParams(16, c)
 
 
-def test_params_reject_inconsistent_fields():
-    with pytest.raises(ValueError):
-        NetParams(n=8, c=1, theta=5, delta_cap=30, D=3, reset_threshold=20)
+def test_params_derive_their_constants_and_resolve_sentinels():
+    p = NetParams(8, 1, D=0, virtual_root_capacity=-1)
+    assert p == NetParams(8, 1, D=3, virtual_root_capacity=23)
+    assert list(asdict(p)) == ["n", "c", "theta", "delta_cap", "D", "reset_threshold",
+                               "rotation_accounting", "virtual_root_capacity", "vr_policy"]
+    with pytest.raises(TypeError):
+        NetParams(8, 1, theta=4)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("theta", 5), ("delta_cap", 30), ("reset_threshold", 20), ("D", 0), ("virtual_root_capacity", -1),
+])
+def test_snapshot_rejects_params_that_disagree_with_n_and_c(name, value):
+    snap = Network(NetParams(8, 1)).snapshot()
+    assert Network.from_snapshot(snap).params == NetParams(8, 1)
+    snap["params"][name] = value
+    with pytest.raises(ValueError, match=f"snapshot param {name} = {value}, but n and c give"):
+        Network.from_snapshot(snap)
 
 
 def test_new_network_is_empty():
-    net = Network(NetParams.make(8, 1))
+    net = Network(NetParams(8, 1))
     assert not net.edges
     assert all(not s.large and not s.working for s in net.nodes)
     assert net.validate_invariants() == []
@@ -222,7 +245,7 @@ def test_find_helper_matches_the_linear_scan(monkeypatch):
         (UniformPairs(144, 20 * 144), 0.75, 1),
         (product_zipf(256, 20 * 256), 1, 1),     # loads up to 2 per helper
     ]:
-        net = Network(NetParams.make(workload.n, c))
+        net = Network(NetParams(workload.n, c))
         net.debug_checks = True
         replay_trace(net, generate(workload, seed))
         assert net.validate_invariants() == []
@@ -233,7 +256,7 @@ def test_find_helper_matches_the_linear_scan(monkeypatch):
 
 
 def test_find_helper_exhausted_when_every_small_node_is_full():
-    net = Network(NetParams.make(8, 1))  # helper load <= 2
+    net = Network(NetParams(8, 1))  # helper load <= 2
     for x in (0, 1, 2):
         net.nodes[x].large = True
     assert net.find_helper(0, 1) == 3
@@ -249,7 +272,7 @@ def test_find_helper_exhausted_when_every_small_node_is_full():
 
 
 def test_find_helper_exhausted_when_every_other_node_is_large():
-    net = Network(NetParams.make(6, 0.5))
+    net = Network(NetParams(6, 0.5))
     for x in (0, 1, 2, 3, 5):
         net.nodes[x].large = True
     assert net.find_helper(0, 1) == 4
@@ -260,7 +283,7 @@ def test_find_helper_exhausted_when_every_other_node_is_large():
 
 def test_find_helper_passes_over_a_node_without_port_room():
     # unreachable in a valid state (3θ + 6·floor(2c) <= 6θ), so stuff a table
-    net = Network(NetParams.make(12, 0.5))  # degree cap 12
+    net = Network(NetParams(12, 0.5))  # degree cap 12
     net.nodes[0].large = net.nodes[1].large = True
     net.nodes[2].S = set(range(3, 10))     # 7 + 6 ports for one more duty > 12
     assert net.find_helper(0, 1) == 3
@@ -276,12 +299,13 @@ def test_make_large_moves_direct_links_into_tree():
     for v in (3, 4, 5, 6):
         net.serve_request(0, v)
     assert len(net.edges) == 4 and not net.nodes[0].large
-    net.serve_request(0, 7)  # fifth partner crosses theta + 1
+    # fifth partner crosses theta + 1: coord 2D + 5D (D = 4)
+    assert net.serve_request(0, 7) == (1, 14, 28, 0)
     s0 = net.nodes[0]
     assert s0.large and not s0.S
     assert set(s0.tree.keys_inorder()) == {3, 4, 5, 6, 7}
     for v in (3, 4, 5, 6, 7):
-        assert (min(0, v), max(0, v)) not in net.edges or True  # direct link gone
+        assert 0 not in net.nodes[v].S  # direct link gone on the partner's side
         assert 0 in net.nodes[v].trees_in
     assert net.validate_invariants() == []
 
@@ -292,7 +316,8 @@ def test_make_large_with_large_partner_uses_helper_seat():
     net.serve_request(1, 0)          # 1 joins tree(0) as itself
     assert t0.occupant_of(1) == 1
     net.serve_request(1, 13)
-    net.serve_request(1, 14)         # |W(1)| = 3: 1 turns large
+    # |W(1)| = 3: 1 turns large; 2D + 3D + D for the helper coord (D = 5)
+    assert net.serve_request(1, 14) == (1, 10, 30, 0)
     s1 = net.nodes[1]
     assert s1.large
     helper = t0.occupant_of(1)
@@ -309,7 +334,11 @@ def test_make_large_sheds_helper_duties_first():
     grow_large(net, 1, (13, 14, 15))
     net.serve_request(0, 1)
     helper = net.nodes[0].tree.occupant_of(1)
-    grow_large(net, helper, (20, 21, 22))
+    net.serve_request(helper, 20)
+    net.serve_request(helper, 21)
+    # the handoff D, then 2D + 3D for the conversion itself (D = 5)
+    assert net.serve_request(helper, 22) == (1, 14, 30, 0)
+    assert net.nodes[helper].large
     newcomer = net.nodes[0].tree.occupant_of(1)
     assert newcomer != helper
     assert (0, 1) in net.nodes[newcomer].helping
@@ -382,7 +411,7 @@ def test_shedding_waits_for_the_tree_operation_to_finish():
     # shed a virtual root whose link was still pending
     px = tuple(zipf_weights(256, 1.0).tolist())
     tr = generate(ProductDist(256, 20 * 256, px, tuple(reversed(px))), seed=3)
-    net = Network(NetParams.make(256, 0.5))
+    net = Network(NetParams(256, 0.5))
     ledger = replay_trace(net, tr)
     assert ledger.m == len(tr)
     assert net.path_failures == 0
@@ -555,9 +584,9 @@ def test_snapshot_roundtrip_after_workout():
 def test_replay_resumes_from_a_snapshot(monkeypatch):
     tr = generate(product_zipf(256, 5120), seed=3)
     half = len(tr) // 2
-    whole = Network(NetParams.make(256, 0.5))
+    whole = Network(NetParams(256, 0.5))
     ledger = replay_trace(whole, tr)
-    net = Network(NetParams.make(256, 0.5))
+    net = Network(NetParams(256, 0.5))
     head = replay_trace(net, Trace(tr.n, tr.src[:half], tr.dst[:half]))
     resumed = Network.from_snapshot(json.loads(json.dumps(net.snapshot())))
     picks = []
@@ -580,7 +609,7 @@ def test_deterministic_replay():
     tr = generate(StarZipf(32, 4000, 1.0), seed=8)
     runs = []
     for _ in range(2):
-        net = Network(NetParams.make(32, 0.5))
+        net = Network(NetParams(32, 0.5))
         ledger = replay_trace(net, tr)
         runs.append((ledger.hops, ledger.adjust, ledger.coord, ledger.reset, net.snapshot()))
     assert runs[0] == runs[1]
@@ -589,7 +618,7 @@ def test_deterministic_replay():
 def test_raw_accounting_costs_more():
     tr = generate(StarZipf(32, 3000, 1.0), seed=8)
     def run(mode):
-        net = Network(NetParams.make(32, 0.5, rotation_accounting=mode))
+        net = Network(NetParams(32, 0.5, rotation_accounting=mode))
         return replay_trace(net, tr)
     unit_led, raw_led = run("unit"), run("raw")
     assert unit_led.hops == raw_led.hops
@@ -598,7 +627,7 @@ def test_raw_accounting_costs_more():
 
 def test_virtual_roots_disabled_still_clean():
     tr = generate(StarZipf(32, 3000, 1.2), seed=5)
-    net = Network(NetParams.make(32, 0.5, virtual_root_capacity=0))
+    net = Network(NetParams(32, 0.5, virtual_root_capacity=0))
     net.debug_checks = True
     replay_trace(net, tr)
     assert net.validate_invariants() == []
@@ -641,7 +670,7 @@ def test_anchor_seat_handoff_mid_route_restarts():
 
 def test_replay_ledger_matches_outcomes():
     tr = generate(Torus(16, 500), seed=2)
-    net = Network(NetParams.make(16, 4))
+    net = Network(NetParams(16, 4))
     ledger = replay_trace(net, tr)
     assert ledger.m == 500
     assert average_cost(ledger) >= 1.0
@@ -651,8 +680,8 @@ def test_replay_ledger_matches_outcomes():
 def test_replay_trace_matches_the_ledger_append_path():
     # 5120 requests cross a replay slice; the trace fires 36 resets
     tr = generate(product_zipf(256, 5120), seed=3)
-    replayed = replay_trace(Network(NetParams.make(256, 0.5)), tr)
-    net = Network(NetParams.make(256, 0.5))
+    replayed = replay_trace(Network(NetParams(256, 0.5)), tr)
+    net = Network(NetParams(256, 0.5))
     appended = CostLedger()
     for u, v in zip(tr.src.tolist(), tr.dst.tolist()):
         appended.append(*net.serve_request(u, v))
@@ -666,11 +695,11 @@ def test_reused_request_context_leaks_no_state():
     # requests and a stretch of debug-checked ones must leave no trace in it
     tr = generate(product_zipf(64, 640), seed=3)
     pairs = list(zip(tr.src.tolist(), tr.dst.tolist()))
-    clean = Network(NetParams.make(64, 0.5))
+    clean = Network(NetParams(64, 0.5))
     expected = [clean.serve_request(u, v) for u, v in pairs]
     marks = [i for i, row in enumerate(expected) if row[3]]
     mid = marks[len(marks) // 2]  # a request that fires a reset
-    net = Network(NetParams.make(64, 0.5))
+    net = Network(NetParams(64, 0.5))
     rows = []
     for i, (u, v) in enumerate(pairs):
         net.debug_checks = mid - 6 <= i < mid - 2  # on for four requests, then off again
@@ -692,12 +721,12 @@ def test_reused_request_context_leaks_no_state():
         max_size=80,
     ),
     st.sampled_from([0.5, 0.75, 1.0]),
-    st.sampled_from([0, 2, None]),
+    st.sampled_from([0, 2, -1]),
 )
 @settings(max_examples=150, deadline=None)
 def test_soak_random_traffic_keeps_invariants(pairs, c, vr_cap):
     # tiny universe so conversions, helpers, shedding and resets all fire
-    net = Network(NetParams.make(10, c, virtual_root_capacity=vr_cap))
+    net = Network(NetParams(10, c, virtual_root_capacity=vr_cap))
     net.debug_checks = True
     for u, v in pairs:
         net.serve_request(u, v)  # raises on a failed hop or a packet stopped short of v
