@@ -70,7 +70,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     workload: str = "torus"
     n: int = 64
-    m: int = 3200
+    m: int = 0               # 0 -> 3200; compare: 50 * n per cell
     alpha: float = 1.0
     phases: int = 4
     m_each: int = 0          # 0 -> n * ceil(log2 n)
@@ -119,10 +119,11 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 
 
 def make_workload(cfg: ExperimentConfig):
+    m = cfg.m or 3200
     if cfg.workload == "torus":
-        return Torus(cfg.n, cfg.m)
+        return Torus(cfg.n, m)
     if cfg.workload == "star":
-        return StarZipf(cfg.n, cfg.m, cfg.alpha)
+        return StarZipf(cfg.n, m, cfg.alpha)
     if cfg.workload == "rrg":
         m_each = cfg.m_each or cfg.n * max(1, math.ceil(math.log2(cfg.n)))
         return RoundRobinGrids(cfg.n, cfg.phases, m_each)
@@ -130,9 +131,9 @@ def make_workload(cfg: ExperimentConfig):
         # skewed sources, independently skewed destinations over reversed ids
         px = tuple(zipf_weights(cfg.n, cfg.alpha).tolist())
         py = tuple(reversed(px))
-        return ProductDist(cfg.n, cfg.m, px, py)
+        return ProductDist(cfg.n, m, px, py)
     if cfg.workload == "uniform":
-        return UniformPairs(cfg.n, cfg.m)
+        return UniformPairs(cfg.n, m)
     raise ConfigError(f"workload must be one of {WORKLOAD_NAMES}, got {cfg.workload!r}")
 
 

@@ -10,15 +10,16 @@ cap (a standalone tree's cap defaults to none).
 
 The tree's physical links (in occupant space) are read off its structure,
 by `edges()`: owner to root, each entry to its children, owner to each
-virtual root.  Nothing else records them.  Every mutation reports a
-TreeCost and keeps the node degrees exact as links come and go; a tree in a
-network shares the network's degree list, a standalone tree keeps its own.
+virtual root.  Nothing else records them.  Every mutation returns its
+link-change count and keeps the node degrees exact as links come and go; a
+tree in a network shares the network's degree list, a standalone tree keeps
+its own.  A splay makes as many rotations as the key's depth before it.
 Nodes pushed above the degree cap are handed out by `take_edge_changes`
 once the operation has finished.
 
 Routes return the entries they walked, so a caller can check every hop
 against the parent pointers instead of taking the walk's word for it.
-Results (`TreeCost`, `DownRoute`, `UpRoute`) are plain slotted records,
+Route results (`DownRoute`, `UpRoute`) are plain slotted records,
 built once per operation on the request path, so they carry no dataclass
 machinery.
 """
@@ -48,14 +49,6 @@ def check_tree_modes(rotation_accounting: str, vr_policy: str) -> None:
 
 def edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
-
-
-class TreeCost:
-    __slots__ = ("link_changes", "rotations")
-
-    def __init__(self, link_changes: int, rotations: int):
-        self.link_changes = link_changes
-        self.rotations = rotations
 
 
 class DownRoute:
@@ -312,7 +305,7 @@ class EgoTree:
 
     # -- operations ---------------------------------------------------------
 
-    def insert(self, key: int, occupant: Optional[int] = None, splay: bool = True) -> TreeCost:
+    def insert(self, key: int, occupant: Optional[int] = None, splay: bool = True) -> int:
         """Attach (key, occupant) as a leaf, then splay it to the root.
 
         `splay=False` leaves the fresh leaf in place; the routing layer uses
@@ -320,12 +313,7 @@ class EgoTree:
         the splaying.
         """
         e = self._attach_leaf(key, key if occupant is None else occupant)
-        lc = 1
-        rotations = 0
-        if splay:
-            rotations = self._splay(e)
-            lc += rotations * self._rot_lc
-        return TreeCost(lc, rotations)
+        return 1 + self._splay(e) * self._rot_lc if splay else 1
 
     def route_down(self, key: int) -> DownRoute:
         """Comparison walk from the root; one hop owner->root, one per level.
@@ -363,11 +351,10 @@ class EgoTree:
             entries.append(e)
         return UpRoute(entries, self.owner)
 
-    def adjust(self, key: int) -> TreeCost:
+    def adjust(self, key: int) -> int:
         """Splay `key` to the root and refresh the virtual-root set."""
         e = self._by_key[key]
-        rotations = self._splay(e)
-        lc = rotations * self._rot_lc
+        lc = self._splay(e) * self._rot_lc
         if self.vr_capacity > 0:
             if key in self.vr:
                 if self.vr_policy == "lru":
@@ -378,7 +365,7 @@ class EgoTree:
                 self.vr[key] = None
                 self._link(self.owner, e.occupant)
                 lc += 1
-        return TreeCost(lc, rotations)
+        return lc
 
     def _drop_virtual_root(self, key: int) -> int:
         del self.vr[key]
@@ -391,14 +378,14 @@ class EgoTree:
             raise KeyError(f"{key} is not a virtual root of tree({self.owner})")
         return self._drop_virtual_root(key)
 
-    def replace_occupant(self, key: int, new_occupant: int) -> TreeCost:
+    def replace_occupant(self, key: int, new_occupant: int) -> int:
         """Swap the physical node at `key` in place, rewiring adjacent links."""
         e = self._by_key[key]
         if new_occupant == self.owner:
             raise ValueError("entry occupant cannot be the tree owner")
         old = e.occupant
         if new_occupant == old:
-            return TreeCost(0, 0)
+            return 0
         lc = 0
         if e.parent is None:
             self._unlink(self.owner, old)
@@ -417,4 +404,4 @@ class EgoTree:
             self._link(self.owner, new_occupant)
             lc += 1
         e.occupant = new_occupant
-        return TreeCost(lc, 0)
+        return lc

@@ -3,9 +3,10 @@
 The kernel takes the distinct (src, dst) pairs of a demand in ascending
 (src, dst) order, as integer counts, and returns H(X), H(Y), H(Y|X) and
 H(X|Y).  Pairs with count zero are skipped, which realizes the
-``0 * log(1/0) = 0`` convention.  `windowed_entropy_report` runs it on a
-running prefix count (one `np.bincount` per stride over the trace's pair
-indices) and on each trailing window; `demand_entropy` runs it on one range.
+``0 * log(1/0) = 0`` convention.  `windowed_entropy_report` runs it on
+`Trace.pair_table` with a running prefix count (one `np.bincount` per stride
+over `Trace.pair_index`) and with each trailing window's count;
+`demand_entropy` runs it on `Trace.pairs_in` of one range.
 
 Every result is bit-identical from run to run and equal to summing in
 sorted key order: frequencies are ``count / total``; row and column sums are
@@ -158,7 +159,7 @@ def conditional_entropy(joint: Mapping, direction: str, base: float = 2.0) -> fl
 def demand_entropy(trace, base: float, start: int = 0, stop: int | None = None) -> float:
     """h_con of trace[start:stop]: the larger of the two conditional entropies
     of its pair counts.  Window reports and the static lower bound both use
-    this one rule; over the whole trace it reads the trace's cached table."""
+    this one rule; the counts are read off the trace's pair index."""
     _, _, hygx, hxgy = _count_entropies(*trace.pairs_in(start, stop), base)
     return max(hygx, hxgy)
 
@@ -248,16 +249,14 @@ def windowed_entropy_report(trace, window: int, stride: int, base: float = 2.0) 
         raise ValueError(f"window {window} exceeds the trace length {m}")
     if stride > m:
         raise ValueError(f"stride {stride} exceeds the trace length {m}")
-    n = trace.n
-    codes, inverse = np.unique(trace.src * n + trace.dst, return_inverse=True)
-    x, y = np.divmod(codes, n)
-    prefix = np.zeros(len(codes), dtype=np.int64)
+    x, y, _ = trace.pair_table
+    prefix = np.zeros(len(x), dtype=np.int64)
     rows = []
     for t in range(stride, m + 1, stride):
-        step = np.bincount(inverse[t - stride:t], minlength=len(codes))
+        step = np.bincount(trace.pair_index[t - stride:t], minlength=len(x))
         prefix += step
         lo = max(0, t - window)
-        win = step if lo == t - stride else np.bincount(inverse[lo:t], minlength=len(codes))
+        win = step if lo == t - stride else np.bincount(trace.pair_index[lo:t], minlength=len(x))
         rows.append(
             EntropyRow(t, *_count_entropies(x, y, win, base), *_count_entropies(x, y, prefix, base))
         )

@@ -54,7 +54,7 @@ from operator import ne
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Optional
 
-from .ego_tree import UNIT, DownRoute, EgoTree, TreeCost, _Entry, check_tree_modes, edge_key
+from .ego_tree import UNIT, DownRoute, EgoTree, _Entry, check_tree_modes, edge_key
 from .metrics import CostLedger
 from .trace import Trace
 
@@ -158,10 +158,10 @@ class Network:
 
     # -- tree operations and the degree cap ----------------------------------
 
-    def _settle(self, ctx: _Ctx, tree: EgoTree, cost: TreeCost) -> None:
+    def _settle(self, ctx: _Ctx, tree: EgoTree, link_changes: int) -> None:
         """Charge one finished tree operation, then enforce the degree cap on
         the nodes it pushed over; a spike mid-rotation sheds nothing."""
-        ctx.adjust += cost.link_changes
+        ctx.adjust += link_changes
         if tree._over:
             self._shed_virtual_roots(ctx, tree.take_edge_changes())
         if ctx.debug:

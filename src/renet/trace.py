@@ -3,6 +3,10 @@
 Node addresses are plain ints 0..n-1 used only as opaque, totally ordered
 keys; nothing structural is ever derived from their values.  Requests are
 ordered (src, dst) pairs with src != dst.
+
+A trace sorts its pairs once: `Trace.pair_table` lists the distinct pairs
+with their counts, and `Trace.pair_index` each request's row in that table.
+Every pair count in the package (sparsity, entropy, baselines) reads these.
 """
 
 from __future__ import annotations
@@ -24,11 +28,6 @@ class PairTable(NamedTuple):
     src: np.ndarray
     dst: np.ndarray
     count: np.ndarray
-
-    @classmethod
-    def of(cls, n: int, src: np.ndarray, dst: np.ndarray) -> "PairTable":
-        codes, count = np.unique(src * np.int64(n) + dst, return_counts=True)
-        return cls(*np.divmod(codes, n), count)
 
 
 @dataclass(frozen=True)
@@ -64,18 +63,30 @@ class Trace:
         return cls(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
     @cached_property
+    def _pairs(self) -> tuple[PairTable, np.ndarray]:
+        # the only place a pair is encoded, as src * n + dst: one sort per trace
+        codes, index, count = np.unique(self.src * np.int64(self.n) + self.dst, return_inverse=True, return_counts=True)
+        return PairTable(*np.divmod(codes, self.n), count), index.astype(np.min_scalar_type(len(codes)))
+
+    @property
     def pair_table(self) -> PairTable:
-        """The pair table of the whole trace, counted once per trace."""
-        return PairTable.of(self.n, self.src, self.dst)
+        """The pair table of the whole trace."""
+        return self._pairs[0]
+
+    @property
+    def pair_index(self) -> np.ndarray:
+        """Each request's row in `pair_table`, in the smallest unsigned dtype."""
+        return self._pairs[1]
 
     def pairs_in(self, start: int = 0, stop: int | None = None) -> PairTable:
-        """The pair table of requests [start, stop); the whole range is `pair_table`."""
+        """The pair table of requests [start, stop), counted off `pair_index`."""
         stop = len(self) if stop is None else stop
         if not (0 <= start <= stop <= len(self)):
             raise ValueError(f"bad index range [{start}, {stop})")
-        if start == 0 and stop == len(self):
-            return self.pair_table
-        return PairTable.of(self.n, self.src[start:stop], self.dst[start:stop])
+        src, dst, whole = self.pair_table
+        count = np.bincount(self.pair_index[start:stop], minlength=len(whole))
+        rows = np.flatnonzero(count)
+        return PairTable(src[rows], dst[rows], count[rows])
 
     def pair_counts(self, start: int = 0, stop: int | None = None) -> dict[Request, int]:
         """Occurrence counts of each distinct (src, dst) pair in [start, stop)."""
@@ -109,7 +120,7 @@ def sparsity_check(trace: Trace, params: SparsityParams) -> SparsityReport:
     +1 when pair i did not occur in the previous delta requests, and by -1 when
     request i - delta leaves and its pair does not recur up to i.  Both tests
     need only each request's previous and next occurrence of its pair, read
-    off one stable sort of the pair codes; the running count is their cumsum.
+    off one stable sort of `trace.pair_index`; the running count is a cumsum.
     Every shorter window is contained in some full-length window, so scanning
     those suffices.  The worst window is the first to reach the maximum.
     An empty trace passes vacuously.
@@ -118,9 +129,9 @@ def sparsity_check(trace: Trace, params: SparsityParams) -> SparsityReport:
     if not m:
         return SparsityReport(ok=True, worst_window_start=0, worst_unique_pairs=0)
     delta = min(params.delta, m)  # a longer window holds the same pairs as the whole trace
-    codes = trace.src * np.int64(trace.n) + trace.dst
-    order = np.argsort(codes, kind="stable")
-    again = codes[order[1:]] == codes[order[:-1]]  # order[k + 1] is the next occurrence of order[k]'s pair
+    rows = trace.pair_index
+    order = np.argsort(rows, kind="stable")
+    again = rows[order[1:]] == rows[order[:-1]]  # order[k + 1] is the next occurrence of order[k]'s pair
     prev = np.full(m, -1, dtype=np.int64)
     prev[order[1:][again]] = order[:-1][again]
     nxt = np.full(m, m, dtype=np.int64)

@@ -208,6 +208,19 @@ def test_compare_command(tmp_path):
     assert len(lines) == 1 + 4
 
 
+@pytest.mark.parametrize("command, m_flag, m", [
+    (["compare", "--n-list", "16"], [], 800),  # 50 * n per cell
+    (["compare", "--n-list", "16"], ["--m", "300"], 300),
+    (["run", "--n", "16"], [], 3200),
+])
+def test_default_request_count(tmp_path, command, m_flag, m):
+    # at n = 64, 50 * n equals run's 3200, so n = 16 tells the defaults apart
+    out = tmp_path / "out"
+    assert run_cli(*command, "--workloads", "torus", *m_flag, "--c", "4", "--out", str(out)) == 0
+    cell = out / "torus_n16" if command[0] == "compare" else out
+    assert json.loads((cell / "summary.json").read_text())["m"] == m
+
+
 def test_compare_requires_n_list(tmp_path, capsys):
     assert run_cli("compare", "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err.splitlines()

@@ -1,11 +1,12 @@
 import math
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from renet.baselines import bisect_tree
-from renet.ego_tree import RAW, UNIT, EgoTree
+from renet.ego_tree import RAW, UNIT, EgoTree, _Entry
 
 OWNER = 100
 
@@ -45,15 +46,13 @@ def degrees_of(edges):
 
 def test_insert_into_empty():
     t = EgoTree(OWNER)
-    cost = t.insert(5)
+    assert t.insert(5) == 1  # the owner-root link, no rotation
     assert t.root.key == 5
-    assert cost.link_changes == 1 and cost.rotations == 0
 
 
 def test_insert_splays_to_root():
     t = make_tree([5])
-    cost = t.insert(3)
-    assert cost.rotations == 1
+    assert t.insert(3) == 2  # the leaf link plus one rotation
     assert t.root.key == 3 and t.root.right.key == 5
     assert shape(t) == ([3, 5], [(3, 3, None, None, 5), (5, 5, 3, None, None)])
 
@@ -141,16 +140,15 @@ def test_adjust_zig_zig_spine():
     t = EgoTree(OWNER)
     for k in (3, 2, 1):
         t.insert(k, splay=False)     # left spine rooted at 3
-    cost = t.adjust(1)
-    assert cost.rotations == 2
+    assert t.depth(1) == 2
+    assert t.adjust(1) == 2
     assert t.root.key == 1
 
 
 def test_adjust_root_only_touches_virtual_roots():
     t = make_tree([1, 2, 3], vr_capacity=2)
     root_key = t.root.key
-    cost = t.adjust(root_key)
-    assert cost.rotations == 0
+    assert t.adjust(root_key) == 1  # no rotation, one virtual-root link
     assert root_key in t.vr
 
 
@@ -166,7 +164,10 @@ def test_sequential_access_rotation_budget():
     t = EgoTree(0)
     for k in range(1, n + 1):
         t.insert(k, splay=False)
-    total = sum(t.adjust(k).rotations for k in range(1, n + 1))
+    total = 0
+    for k in range(1, n + 1):
+        total += t.depth(k)  # the rotations of the splay
+        t.adjust(k)
     assert total <= 4 * n
 
 
@@ -174,7 +175,7 @@ def test_adjust_rotations_equal_prior_depth():
     t = make_tree([8, 4, 12, 2, 6, 10, 14, 1], splay=False)
     for k in (6, 14, 1, 8):
         d = t.depth(k)
-        assert t.adjust(k).rotations == d
+        assert t.adjust(k) == d  # one link change per rotation
         assert t.root.key == k
 
 
@@ -183,18 +184,15 @@ def test_adjust_rotations_equal_prior_depth():
 
 def test_replace_occupant_root_only():
     t = make_tree([4])
-    cost = t.replace_occupant(4, 77)
-    assert cost.link_changes == 1
+    assert t.replace_occupant(4, 77) == 1
     assert t.occupant_of(4) == 77
 
 
 def test_replace_occupant_counts_adjacent_links():
     t = make_tree([2, 1, 3], splay=False)   # root 2, children 1 and 3
     t.insert(4, splay=False)                # give 3 a right child
-    cost = t.replace_occupant(3, 55)        # parent + one child
-    assert cost.link_changes == 2
-    cost = t.replace_occupant(2, 66)        # owner link + two children
-    assert cost.link_changes == 3
+    assert t.replace_occupant(3, 55) == 2   # parent + one child
+    assert t.replace_occupant(2, 66) == 3   # owner link + two children
 
 
 def test_replace_occupant_rejects_owner():
@@ -313,17 +311,42 @@ def test_edge_log_matches_structure(op_list, vr_cap):
     t = EgoTree(OWNER, vr_capacity=vr_cap)
     for op, key in op_list:
         if op == "insert" and key not in t:
-            cost = t.insert(key)
+            floor, cost = 1, t.insert(key)
         elif op == "adjust" and key in t:
+            floor = t.depth(key)
             cost = t.adjust(key)
         elif op == "replace" and key in t:
-            cost = t.replace_occupant(key, 1000 + key)
+            floor, cost = 0, t.replace_occupant(key, 1000 + key)
         else:
             continue
-        assert cost.link_changes >= cost.rotations
+        assert cost >= floor
         assert {x: d for x, d in t.degree.items() if d} == degrees_of(t.edges())
         assert t.take_edge_changes() == []  # a standalone tree has no degree cap
         assert not t.check_structure()
+
+
+def _swap_root_children(t):
+    t.root.left, t.root.right = t.root.right, t.root.left
+
+
+# one corruption of a healthy tree per row, and the message it must produce
+STRUCTURE_FAULTS = {
+    "keys out of order": (_swap_root_children, r"keys out of order at [12]"),
+    "key index mismatch": (lambda t: t._by_key.__setitem__(1, _Entry(1, 1)), r"key index mismatch at 1"),
+    "index size": (lambda t: t._by_key.__setitem__(9, _Entry(9, 9)), r"index size 4 != walk 3"),
+    "virtual roots over the cap": (lambda t: t.vr.update({1: None, 3: None}), r"2 virtual roots > cap 1"),
+    "dangling virtual root": (lambda t: t.vr.update({9: None}), r"dangling virtual root 9"),
+}
+
+
+@pytest.mark.parametrize("fault", STRUCTURE_FAULTS)
+def test_check_structure_names_each_fault(fault):
+    t = make_tree([2, 1, 3], vr_capacity=1, splay=False)  # root 2, children 1 and 3
+    assert t.check_structure() == []
+    corrupt, message = STRUCTURE_FAULTS[fault]
+    corrupt(t)
+    bad = t.check_structure()
+    assert bad and all(re.fullmatch(rf"tree\({OWNER}\): {message}", line) for line in bad), bad
 
 
 def test_take_edge_changes_reports_nodes_over_the_cap():
@@ -340,11 +363,10 @@ def test_take_edge_changes_reports_nodes_over_the_cap():
 def test_raw_accounting_charges_more():
     t_unit = make_tree(list(range(16)), rotation_accounting=UNIT)
     t_raw = make_tree(list(range(16)), rotation_accounting=RAW)
-    cu = t_unit.adjust(0)
-    cr = t_raw.adjust(0)
-    assert cu.rotations == cr.rotations
-    assert cr.link_changes == cr.rotations * 6
-    assert cu.link_changes == cu.rotations * 1
+    rotations = t_unit.depth(0)
+    assert t_raw.depth(0) == rotations
+    assert t_raw.adjust(0) == rotations * 6
+    assert t_unit.adjust(0) == rotations * 1
 
 
 @given(st.lists(st.integers(0, 30), min_size=1, max_size=40, unique=True))

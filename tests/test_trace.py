@@ -1,11 +1,12 @@
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
-from renet.entropy import entropy, normalized
+from renet.entropy import demand_entropy, entropy, normalized, windowed_entropy_report
 from renet.trace import (
     ProductDist,
     RoundRobinGrids,
@@ -55,6 +56,59 @@ def test_pair_counts():
     tr = Trace.from_pairs(4, [(1, 2), (1, 2), (2, 3)])
     assert tr.pair_counts() == {(1, 2): 2, (2, 3): 1}
     assert tr.pair_counts(2, 3) == {(2, 3): 1}
+
+
+@st.composite
+def traces_with_ranges(draw):
+    n = draw(st.integers(2, 40))
+    src = draw(st.lists(st.integers(0, n - 1), max_size=400))
+    offset = draw(st.lists(st.integers(1, n - 1), min_size=len(src), max_size=len(src)))
+    trace = Trace(n, np.array(src, dtype=np.int64), (np.array(src, dtype=np.int64) + offset) % n)
+    bounds = st.tuples(st.integers(0, len(src)), st.integers(0, len(src))).map(sorted)
+    return trace, draw(st.lists(bounds, max_size=8))
+
+
+ALL_PAIRS_20 = Trace.from_pairs(20, [(a, b) for a in range(20) for b in range(20) if a != b] * 2)
+
+
+@seed(20191)
+@given(traces_with_ranges())
+@example((ALL_PAIRS_20, [(0, 380), (5, 5), (100, 700)]))  # 380 rows, past uint8
+@settings(max_examples=200, deadline=None)
+def test_pair_index_rows_and_counts(drawn):
+    trace, ranges = drawn
+    src, dst, count = trace.pair_table
+    index = trace.pair_index
+    assert (src[index] == trace.src).all() and (dst[index] == trace.dst).all()
+    assert index.dtype.kind == "u" and np.iinfo(index.dtype).max >= len(count) - 1
+    assert index.dtype.itemsize <= 2  # fewer than 65536 rows
+    for start, stop in [(0, len(trace)), (len(trace), len(trace)), *ranges]:
+        table = trace.pairs_in(start, stop)
+        want = sorted(Counter(requests(trace)[start:stop]).items())
+        assert list(zip(table.src.tolist(), table.dst.tolist(), table.count.tolist())) == [
+            (a, b, k) for (a, b), k in want
+        ]
+
+
+def test_one_pair_sort_per_trace(monkeypatch):
+    # the integer np.unique calls are the pair sorts; entropy's float ones are not
+    sorts = []
+    unique = np.unique
+
+    def counting_unique(ar, *args, **kwargs):
+        if np.asarray(ar).dtype.kind in "iu":
+            sorts.append(len(ar))
+        return unique(ar, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    tr = generate(Torus(64, 2000), seed=1)
+    for _ in range(2):
+        tr.pair_table
+        tr.pairs_in(100, 900)
+        sparsity_check(tr, SparsityParams(1.0, 500))
+        windowed_entropy_report(tr, 400, 200)
+        demand_entropy(tr, 2.0)
+    assert sorts == [len(tr)]
 
 
 # -- sparsity -----------------------------------------------------------------
