@@ -13,9 +13,17 @@ by `edges()`: owner to root, each entry to its children, owner to each
 virtual root.  Nothing else records them.  Every mutation returns its
 link-change count and keeps the node degrees exact as links come and go; a
 tree in a network shares the network's degree list, a standalone tree keeps
-its own.  A splay makes as many rotations as the key's depth before it.
-Nodes pushed above the degree cap are handed out by `take_edge_changes`
-once the operation has finished.
+its own.  Nodes pushed above the degree cap are handed out by
+`take_edge_changes` once the operation has finished.
+
+A splay makes as many rotations as the key's depth before it, in
+Sleator-Tarjan steps: a zig-zig or zig-zag step while x has a grandparent,
+and a last zig when x's parent is the root.  Each double step does the work
+of its two rotations in place and in their order.  In one rotation of x over its
+parent p, the p-x link flips orientation but persists, and x trades its
+inner child b for the node above while p does the reverse; so degrees move
+only when b is missing: p's occupant loses a link and x's gains one, and
+x's occupant is reported if that takes it above the cap.
 
 Routes return the entries they walked, so a caller can check every hop
 against the parent pointers instead of taking the walk's word for it.
@@ -228,54 +236,144 @@ class EgoTree:
 
     # -- splay machinery ----------------------------------------------------
 
-    def _rotate_up(self, x: _Entry) -> None:
-        # The p-x link flips orientation but persists, and x trades its inner
-        # child b for the node above while p does the reverse; so degrees
-        # move only when b is missing: p loses a link and x gains one.
-        p = x.parent
-        g = p.parent
-        if x is p.left:
-            b = x.right
-            p.left = b
-            x.right = p
-        else:
-            b = x.left
-            p.right = b
-            x.left = p
-        if b is not None:
-            b.parent = p
-        else:
-            degree = self.degree
-            degree[p.occupant] -= 1
-            xo = x.occupant
-            degree[xo] += 1
-            if degree[xo] > self._cap:
-                self._over.append(xo)
-        x.parent = g
-        p.parent = x
-        if g is None:
-            self.root = x
-        elif g.left is p:
-            g.left = x
-        else:
-            g.right = x
-
     def _splay(self, x: _Entry) -> int:
+        """Splay x to the root; returns the number of rotations made.
+
+        Pointers, degrees and `_over` end exactly as the single rotations
+        would leave them, the degree rule applied per rotation (see the
+        module docstring)."""
+        degree = self.degree
+        cap = self._cap
+        over = self._over
+        xo = x.occupant
         rotations = 0
-        while x.parent is not None:
-            p = x.parent
+        p = x.parent
+        while p is not None:
             g = p.parent
-            if g is None:
-                self._rotate_up(x)
-                rotations += 1
-            elif (g.left is p) == (p.left is x):
-                self._rotate_up(p)
-                self._rotate_up(x)
-                rotations += 2
+            if g is None:  # zig: x over p, the root
+                if x is p.left:
+                    b = x.right
+                    p.left = b
+                    x.right = p
+                else:
+                    b = x.left
+                    p.right = b
+                    x.left = p
+                if b is not None:
+                    b.parent = p
+                else:
+                    degree[p.occupant] -= 1
+                    degree[xo] += 1
+                    if degree[xo] > cap:
+                        over.append(xo)
+                p.parent = x
+                x.parent = None
+                self.root = x
+                return rotations + 1
+            gg = g.parent
+            if p is g.left:
+                if x is p.left:  # zig-zig: p over g, then x over p
+                    b = p.right
+                    g.left = b
+                    p.right = g
+                    if b is not None:
+                        b.parent = g
+                    else:
+                        degree[g.occupant] -= 1
+                        po = p.occupant
+                        degree[po] += 1
+                        if degree[po] > cap:
+                            over.append(po)
+                    b = x.right
+                    p.left = b
+                    x.right = p
+                    if b is not None:
+                        b.parent = p
+                    else:
+                        degree[p.occupant] -= 1
+                        degree[xo] += 1
+                        if degree[xo] > cap:
+                            over.append(xo)
+                    g.parent = p
+                else:  # zig-zag: x over p, then x over g
+                    b = x.left
+                    p.right = b
+                    if b is not None:
+                        b.parent = p
+                    else:
+                        degree[p.occupant] -= 1
+                        degree[xo] += 1
+                        if degree[xo] > cap:
+                            over.append(xo)
+                    b = x.right
+                    g.left = b
+                    if b is not None:
+                        b.parent = g
+                    else:
+                        degree[g.occupant] -= 1
+                        degree[xo] += 1
+                        if degree[xo] > cap:
+                            over.append(xo)
+                    x.left = p
+                    x.right = g
+                    g.parent = x
             else:
-                self._rotate_up(x)
-                self._rotate_up(x)
-                rotations += 2
+                if x is p.right:  # zig-zig, mirrored
+                    b = p.left
+                    g.right = b
+                    p.left = g
+                    if b is not None:
+                        b.parent = g
+                    else:
+                        degree[g.occupant] -= 1
+                        po = p.occupant
+                        degree[po] += 1
+                        if degree[po] > cap:
+                            over.append(po)
+                    b = x.left
+                    p.right = b
+                    x.left = p
+                    if b is not None:
+                        b.parent = p
+                    else:
+                        degree[p.occupant] -= 1
+                        degree[xo] += 1
+                        if degree[xo] > cap:
+                            over.append(xo)
+                    g.parent = p
+                else:  # zig-zag, mirrored
+                    b = x.right
+                    p.left = b
+                    if b is not None:
+                        b.parent = p
+                    else:
+                        degree[p.occupant] -= 1
+                        degree[xo] += 1
+                        if degree[xo] > cap:
+                            over.append(xo)
+                    b = x.left
+                    g.right = b
+                    if b is not None:
+                        b.parent = g
+                    else:
+                        degree[g.occupant] -= 1
+                        degree[xo] += 1
+                        if degree[xo] > cap:
+                            over.append(xo)
+                    x.right = p
+                    x.left = g
+                    g.parent = x
+            p.parent = x
+            x.parent = gg
+            rotations += 2
+            if gg is None:
+                self.root = x
+                return rotations
+            if gg.left is g:
+                gg.left = x
+            else:
+                gg.right = x
+            p = gg
         return rotations
 
     def _attach_leaf(self, key: int, occupant: int) -> _Entry:
@@ -355,16 +453,17 @@ class EgoTree:
         """Splay `key` to the root and refresh the virtual-root set."""
         e = self._by_key[key]
         lc = self._splay(e) * self._rot_lc
-        if self.vr_capacity > 0:
-            if key in self.vr:
-                if self.vr_policy == "lru":
-                    self.vr.move_to_end(key)
-            elif self.degree[e.occupant] < self._cap:
-                if len(self.vr) >= self.vr_capacity:
-                    lc += self._drop_virtual_root(next(iter(self.vr)))
-                self.vr[key] = None
-                self._link(self.owner, e.occupant)
-                lc += 1
+        vr = self.vr
+        if key in vr:
+            if self.vr_policy == "lru":
+                vr.move_to_end(key)
+            return lc
+        if self.vr_capacity > 0 and self.degree[e.occupant] < self._cap:
+            if len(vr) >= self.vr_capacity:
+                lc += self._drop_virtual_root(next(iter(vr)))
+            vr[key] = None
+            self._link(self.owner, e.occupant)
+            lc += 1
         return lc
 
     def _drop_virtual_root(self, key: int) -> int:

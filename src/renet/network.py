@@ -616,6 +616,7 @@ class Network:
         return {
             "params": asdict(self.params),
             "size_classes": {"large": sorted(s.id for s in self.nodes if s.large)},
+            # a node whose four tables are empty is left out
             "nodes": [
                 {
                     "id": s.id,
@@ -625,6 +626,7 @@ class Network:
                     "helping": sorted(list(pair) for pair in s.helping),
                 }
                 for s in self.nodes
+                if s.working or s.S or s.trees_in or s.helping
             ],
             "trees": trees,
             "edges": sorted([a, b, cnt] for (a, b), cnt in self.edges.items()),
@@ -641,14 +643,14 @@ class Network:
             raise ValueError(f"snapshot param {name} = {given.get(name)!r}, but n and c give {derived.get(name)!r}")
         _check_snapshot_ids(snap, params.n)
         net = cls(params)
-        large_ids = set(snap["size_classes"]["large"])
-        for rec in snap["nodes"]:
+        for rec in snap["nodes"]:  # older snapshots list every node
             s = net.nodes[rec["id"]]
             s.working = set(rec["working"])
             s.S = set(rec["S"])
             s.trees_in = set(rec["trees_in"])
             s.helping = {tuple(p) for p in rec["helping"]}
-            s.large = rec["id"] in large_ids
+        for x in snap["size_classes"]["large"]:
+            net.nodes[x].large = True
         for owner_str, tdata in snap["trees"].items():
             owner = int(owner_str)
             tree = net._new_tree(owner)

@@ -179,6 +179,104 @@ def test_adjust_rotations_equal_prior_depth():
         assert t.root.key == k
 
 
+class RotationSplayTree(EgoTree):
+    """The oracle: the same splay, done one single rotation at a time."""
+
+    def _rotate_up(self, x):
+        p = x.parent
+        g = p.parent
+        if x is p.left:
+            b = x.right
+            p.left = b
+            x.right = p
+        else:
+            b = x.left
+            p.right = b
+            x.left = p
+        if b is not None:
+            b.parent = p
+        else:
+            self.degree[p.occupant] -= 1
+            self.degree[x.occupant] += 1
+            if self.degree[x.occupant] > self._cap:
+                self._over.append(x.occupant)
+        x.parent = g
+        p.parent = x
+        if g is None:
+            self.root = x
+        elif g.left is p:
+            g.left = x
+        else:
+            g.right = x
+
+    def _splay(self, x):
+        rotations = 0
+        while x.parent is not None:
+            p = x.parent
+            g = p.parent
+            if g is None:
+                self._rotate_up(x)
+                rotations += 1
+            elif (g.left is p) == (p.left is x):
+                self._rotate_up(p)
+                self._rotate_up(x)
+                rotations += 2
+            else:
+                self._rotate_up(x)
+                self._rotate_up(x)
+                rotations += 2
+        return rotations
+
+
+def preorder(t):
+    """(key, occupant, parent key, side) of every entry, root first."""
+    out = []
+    stack = [t.root] if t.root is not None else []
+    while stack:
+        e = stack.pop()
+        side = None if e.parent is None else ("r" if e.parent.right is e else "l")
+        out.append((e.key, e.occupant, None if e.parent is None else e.parent.key, side))
+        stack.extend(ch for ch in (e.right, e.left) if ch is not None)
+    return out
+
+
+# occupants 0..7 stand in for a handful of physical nodes, so one occupant
+# often sits at several keys and its degree moves more than once per step
+tree_ops = st.lists(
+    st.tuples(st.sampled_from(["insert", "adjust", "adjust", "replace"]), st.integers(0, 39), st.integers(0, 7)),
+    min_size=1,
+    max_size=120,
+)
+
+
+@given(st.permutations(range(24)), tree_ops, st.sampled_from([UNIT, RAW]), st.sampled_from([0, 3]), st.integers(2, 5))
+@settings(max_examples=300, deadline=None)
+def test_fused_splay_matches_rotation_by_rotation(order, op_list, accounting, vr_cap, cap):
+    owner = 30
+    trees = [
+        cls(owner, vr_capacity=vr_cap, rotation_accounting=accounting, degree=[0] * (owner + 1), degree_cap=cap)
+        for cls in (EgoTree, RotationSplayTree)
+    ]
+    for t in trees:  # a random search tree about twice as deep as a balanced one
+        for key in order:
+            t.insert(key, key % 8, splay=False)
+    for op, key, occupant in op_list:
+        if op == "insert" and key not in trees[0]:
+            costs = [t.insert(key, occupant) for t in trees]
+        elif op == "adjust" and key in trees[0]:
+            costs = [t.adjust(key) for t in trees]
+        elif op == "replace" and key in trees[0]:
+            costs = [t.replace_occupant(key, occupant) for t in trees]
+        else:
+            continue
+        fused, oracle = trees
+        assert costs[0] == costs[1]
+        assert preorder(fused) == preorder(oracle)
+        assert fused.degree == oracle.degree
+        assert list(fused.vr) == list(oracle.vr)
+        assert fused.take_edge_changes() == oracle.take_edge_changes()
+
+
 # -- replace_occupant ---------------------------------------------------------------
 
 

@@ -405,6 +405,19 @@ def test_degree_overflow_sheds_a_virtual_root(monkeypatch):
     assert net.validate_invariants() == []
 
 
+def test_degree_overflow_with_no_virtual_root_to_shed_raises():
+    # virtual-root links are the only links shedding may drop; a splay that
+    # pushes a node over the cap with none seated at it cannot be undone
+    net = fresh(16, 0.5, virtual_root_capacity=0)
+    tree = grow_large(net, 0, (3, 4, 5))
+    # a leaf gains a link in its splay, since its inner child is missing
+    leaf = next(k for k in tree.keys_inorder() if tree._by_key[k].left is None and tree._by_key[k].right is None)
+    occupant = tree.occupant_of(leaf)
+    net.degree[occupant] = net.params.delta_cap
+    with pytest.raises(InvariantError, match=rf"^degree overflow at node {occupant} with no virtual root to shed$"):
+        net.serve_request(0, leaf)
+
+
 def test_shedding_waits_for_the_tree_operation_to_finish():
     # once raised InvariantError("removing untracked edge (0, 14)") at request
     # 3393: the cap was enforced halfway through a tree's link changes and
@@ -510,6 +523,101 @@ def test_validate_detects_broken_parent_pointer():
     assert f"tree(0): broken parent link at {child.key}" in net.validate_invariants()
 
 
+def live_product_network():
+    """A product n=64, c=0.5 replay with large nodes, helpers, tree
+    memberships and virtual roots, healthy at the end."""
+    net = Network(NetParams(64, 0.5))
+    replay_trace(net, generate(product_zipf(64, 1000), seed=1))
+    assert net.validate_invariants() == []
+    return net
+
+
+def large_ids(net):
+    return [s.id for s in net.nodes if s.large]
+
+
+def member(net):
+    """A small node seated in a large node's tree: (node, owner)."""
+    return next((s.id, w) for s in net.nodes if not s.large for w in sorted(s.trees_in))
+
+
+def _asymmetric(net):
+    x, v = member(net)
+    net.nodes[v].working.discard(x)
+    return rf"working-set asymmetry {x} -> {v}"
+
+
+def _self_in_working_set(net):
+    x, _ = member(net)
+    net.nodes[x].working.add(x)
+    return rf"node {x} has itself in its working set"
+
+
+def _leftovers(net):
+    u = large_ids(net)[0]
+    net.nodes[u].S.add(member(net)[0])
+    return rf"node {u} large with small-table leftovers"
+
+
+def _no_tree(net):
+    u = large_ids(net)[0]
+    net.nodes[u].tree = None
+    return rf"node {u} large without a tree"
+
+
+def _keys_differ(net):
+    u = large_ids(net)[0]
+    net.nodes[u].working.add(next(x for x in range(64) if x != u and x not in net.nodes[u].working))
+    return rf"tree\({u}\) keys differ from the working set"
+
+
+def _small_owns_tree(net):
+    x, _ = member(net)
+    net.nodes[x].tree = EgoTree(x)
+    return rf"node {x} small but owns a tree"
+
+
+def _broken_membership(net):
+    x, _ = member(net)
+    w = next(u for u in large_ids(net) if x not in net.nodes[u].working)
+    net.nodes[x].trees_in.add(w)
+    return rf"membership of {x} in tree\({w}\) is broken"
+
+
+def _inconsistent_duty(net):
+    x = next(s.id for s in net.nodes if s.helping)
+    a, b = min(net.nodes[x].helping)
+    net.nodes[x].helping.add((b, a))  # a duty is stored smaller end first
+    return rf"helper duty \({b}, {a}\) of node {x} is inconsistent"
+
+
+def _total_ws_cache(net):
+    net.total_ws += 1
+    return rf"total_ws cache {net.total_ws} != {net.total_ws - 1}"
+
+
+# one corruption of a live network per row; the row's message must be listed
+VALIDATION_FAULTS = {
+    "working-set asymmetry": _asymmetric,
+    "node in its own working set": _self_in_working_set,
+    "large node with small-table leftovers": _leftovers,
+    "large node without a tree": _no_tree,
+    "tree keys differ from the working set": _keys_differ,
+    "small node owns a tree": _small_owns_tree,
+    "broken membership": _broken_membership,
+    "inconsistent helper duty": _inconsistent_duty,
+    "total_ws cache": _total_ws_cache,
+}
+
+
+@pytest.mark.parametrize("fault", VALIDATION_FAULTS)
+def test_validate_names_each_fault(fault):
+    net = live_product_network()
+    pattern = VALIDATION_FAULTS[fault](net)
+    bad = net.validate_invariants()
+    assert any(re.fullmatch(pattern, line) for line in bad), bad
+
+
 # -- hop validation, by fault injection ----------------------------------------------
 
 
@@ -577,6 +685,21 @@ def test_snapshot_roundtrip_after_workout():
     net.serve_request(5, 6)
     snap = net.snapshot()
     clone = Network.from_snapshot(json.loads(json.dumps(snap)))
+    assert clone.validate_invariants() == []
+    assert clone.snapshot() == snap
+
+
+def test_snapshot_lists_only_nodes_with_tables_and_reads_the_full_listing():
+    net = live_product_network()
+    snap = net.snapshot()
+    listed = [rec["id"] for rec in snap["nodes"]]
+    assert listed == [s.id for s in net.nodes if s.working or s.S or s.trees_in or s.helping]
+    assert len(listed) < net.params.n
+    # older snapshots list every node, an idle one with four empty tables
+    empty = {"working": [], "S": [], "trees_in": [], "helping": []}
+    full = dict(snap, nodes=sorted(snap["nodes"] + [dict(empty, id=x) for x in range(64) if x not in listed],
+                                   key=lambda rec: rec["id"]))
+    clone = Network.from_snapshot(json.loads(json.dumps(full)))
     assert clone.validate_invariants() == []
     assert clone.snapshot() == snap
 
