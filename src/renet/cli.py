@@ -78,12 +78,9 @@ class ExperimentConfig:
     D: int = 0               # 0 -> ceil(log2 n)
     seed: int = 1
     delta: int = 0           # sparsity window; 0 -> whole trace
-    rotation_accounting: str = "unit"
     virtual_roots: int = -1  # -1 -> degree cap minus one
-    vr_policy: str = "lru"
     baselines: str = "stat,oblivious"
     out: str = "out"
-    reps: int = 1
     trace: str = ""          # CSV path; empty -> generate the workload
     window: int = 0          # entropy command; 0 -> m // 10
     stride: int = 0          # entropy command; 0 -> window
@@ -155,7 +152,7 @@ def build_trace(cfg: ExperimentConfig, seed: int) -> Trace:
 def make_params(cfg: ExperimentConfig, n: int) -> NetParams:
     try:
         # the config's sentinels (D = 0, virtual_roots = -1) are NetParams' own
-        return NetParams(n, cfg.c, cfg.D, cfg.rotation_accounting, cfg.virtual_roots, cfg.vr_policy)
+        return NetParams(n, cfg.c, cfg.D, cfg.virtual_roots)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -240,26 +237,11 @@ def run_cell(cfg: ExperimentConfig, trace: Trace, params: NetParams, outdir: Pat
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    if cfg.reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {cfg.reps}")
-    base = Path(cfg.out)
-    summaries = []
-    for rep in range(cfg.reps):
-        outdir = base if cfg.reps == 1 else base / f"rep{rep}"
-        trace = build_trace(cfg, cfg.seed + rep)
-        # a trace file's declared universe wins over the configured n
-        params = make_params(cfg, trace.n)
-        summaries.append(run_cell(cfg, trace, params, outdir))
-    if cfg.reps > 1:
-        top = {
-            "reps": cfg.reps,
-            "avg_cost_mean": sum(s["avg_cost"] for s in summaries) / len(summaries),
-            "runs": summaries,
-        }
-        with open(base / "summary.json", "w") as fh:
-            json.dump(top, fh, indent=1, sort_keys=True)
-    ok = all(s["invariants_ok"] for s in summaries)
-    print(f"run: avg_cost={summaries[-1]['avg_cost']:.4f} invariants={'ok' if ok else 'VIOLATED'}")
+    trace = build_trace(cfg, cfg.seed)
+    # a trace file's declared universe wins over the configured n
+    summary = run_cell(cfg, trace, make_params(cfg, trace.n), Path(cfg.out))
+    ok = summary["invariants_ok"]
+    print(f"run: avg_cost={summary['avg_cost']:.4f} invariants={'ok' if ok else 'VIOLATED'}")
     return 0 if ok else 1
 
 
@@ -287,7 +269,8 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
             ok = ok and summary["invariants_ok"]
             rows.append(summary)
     with open(base / "compare.csv", "w") as fh:
-        fh.write("n,workload,renet_avg,renet_routing_avg,stat_avg,oblivious_avg,lower_bound,rho\n")
+        fh.write("n,workload,renet_avg,renet_routing_avg,stat_avg,oblivious_avg,lower_bound,rho,"
+                 "m,sparsity_ok,worst_window_unique_pairs\n")
         for s in rows:
             stat = s.get("stat_avg")
             obl = s.get("oblivious_avg")
@@ -297,7 +280,8 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
                 f"{'' if stat is None else f'{stat:.6f}'},"
                 f"{'' if obl is None else f'{obl:.6f}'},"
                 f"{s['lower_bound']:.6f},"
-                f"{'' if rho is None else f'{rho:.6f}'}\n"
+                f"{'' if rho is None else f'{rho:.6f}'},"
+                f"{s['m']},{str(s['sparsity_ok']).lower()},{s['worst_window_unique_pairs']}\n"
             )
     print(f"compare: {len(rows)} cells -> {base / 'compare.csv'}")
     return 0 if ok else 1

@@ -16,14 +16,15 @@ tree in a network shares the network's degree list, a standalone tree keeps
 its own.  Nodes pushed above the degree cap are handed out by
 `take_edge_changes` once the operation has finished.
 
-A splay makes as many rotations as the key's depth before it, in
-Sleator-Tarjan steps: a zig-zig or zig-zag step while x has a grandparent,
-and a last zig when x's parent is the root.  Each double step does the work
-of its two rotations in place and in their order.  In one rotation of x over its
-parent p, the p-x link flips orientation but persists, and x trades its
-inner child b for the node above while p does the reverse; so degrees move
-only when b is missing: p's occupant loses a link and x's gains one, and
-x's occupant is reported if that takes it above the cap.
+A splay makes as many rotations as the key's depth before it, and each
+rotation counts one link change.  It runs in Sleator-Tarjan steps: a
+zig-zig or zig-zag step while x has a grandparent, and a last zig when x's
+parent is the root.  Each double step does the work of its two rotations
+in place and in their order.  In one rotation of x over its parent p, the
+p-x link flips orientation but persists, and x trades its inner child b
+for the node above while p does the reverse; so degrees move only when b
+is missing: p's occupant loses a link and x's gains one, and x's occupant
+is reported if that takes it above the cap.
 
 Routes return the entries they walked, so a caller can check every hop
 against the parent pointers instead of taking the walk's word for it.
@@ -37,22 +38,6 @@ from __future__ import annotations
 import sys
 from collections import Counter, OrderedDict
 from typing import Optional
-
-UNIT = "unit"
-RAW = "raw"
-
-# Raw mode charges the classic three pointer removals plus three additions
-# per rotation; unit mode charges one link change per rotation so headline
-# numbers stay comparable to hop counts.
-_ROTATION_LINK_COST = {UNIT: 1, RAW: 6}
-
-
-def check_tree_modes(rotation_accounting: str, vr_policy: str) -> None:
-    """Reject an unknown rotation accounting mode or virtual-root policy."""
-    if rotation_accounting not in _ROTATION_LINK_COST:
-        raise ValueError(f"rotation_accounting must be one of {sorted(_ROTATION_LINK_COST)}, got {rotation_accounting!r}")
-    if vr_policy not in ("lru", "fifo"):
-        raise ValueError(f"vr_policy must be 'lru' or 'fifo', got {vr_policy!r}")
 
 
 def edge_key(a: int, b: int) -> tuple[int, int]:
@@ -109,21 +94,16 @@ class EgoTree:
         self,
         owner: int,
         vr_capacity: int = 0,
-        rotation_accounting: str = UNIT,
-        vr_policy: str = "lru",
         degree=None,
         degree_cap: int = sys.maxsize,
     ):
-        check_tree_modes(rotation_accounting, vr_policy)
         if vr_capacity < 0:
             raise ValueError("vr_capacity must be >= 0")
         self.owner = owner
         self.root: Optional[_Entry] = None
         self.vr_capacity = vr_capacity
-        self.vr_policy = vr_policy
         self.vr: "OrderedDict[int, None]" = OrderedDict()  # oldest first
         self._by_key: dict[int, _Entry] = {}
-        self._rot_lc = _ROTATION_LINK_COST[rotation_accounting]
         # a list by node id in a network, else a Counter
         self.degree = Counter() if degree is None else degree
         self._cap = degree_cap
@@ -411,7 +391,7 @@ class EgoTree:
         the splaying.
         """
         e = self._attach_leaf(key, key if occupant is None else occupant)
-        return 1 + self._splay(e) * self._rot_lc if splay else 1
+        return 1 + self._splay(e) if splay else 1
 
     def route_down(self, key: int) -> DownRoute:
         """Comparison walk from the root; one hop owner->root, one per level.
@@ -422,8 +402,7 @@ class EgoTree:
         if self.root is None:
             return DownRoute(False, [])
         if key in self.vr:
-            if self.vr_policy == "lru":
-                self.vr.move_to_end(key)
+            self.vr.move_to_end(key)
             return DownRoute(True, [self._by_key[key]])
         entries: list[_Entry] = []
         e = self.root
@@ -441,8 +420,7 @@ class EgoTree:
         e = self._by_key[from_key]
         entries = [e]
         if from_key in self.vr:
-            if self.vr_policy == "lru":
-                self.vr.move_to_end(from_key)
+            self.vr.move_to_end(from_key)
             return UpRoute(entries, self.owner)
         while e.parent is not None:
             e = e.parent
@@ -452,11 +430,10 @@ class EgoTree:
     def adjust(self, key: int) -> int:
         """Splay `key` to the root and refresh the virtual-root set."""
         e = self._by_key[key]
-        lc = self._splay(e) * self._rot_lc
+        lc = self._splay(e)
         vr = self.vr
         if key in vr:
-            if self.vr_policy == "lru":
-                vr.move_to_end(key)
+            vr.move_to_end(key)
             return lc
         if self.vr_capacity > 0 and self.degree[e.occupant] < self._cap:
             if len(vr) >= self.vr_capacity:

@@ -41,7 +41,7 @@ rebuilt lazily after each reset (see `find_helper`).
 Cost accounting, fixed here and reported as-is: a route addition costs 2D of
 control traffic (notify + instruct) plus D per helper engaged; a conversion
 to large costs D per partner moved plus D per helper engaged; a reset costs
-n flat.  Link changes follow the tree accounting mode (unit or raw).
+n flat.  A rotation counts one link change.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from operator import ne
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Optional
 
-from .ego_tree import UNIT, DownRoute, EgoTree, _Entry, check_tree_modes, edge_key
+from .ego_tree import DownRoute, EgoTree, _Entry, edge_key
 from .metrics import CostLedger
 from .trace import Trace
 
@@ -79,9 +79,7 @@ class NetParams:
     delta_cap: int = field(init=False)
     D: int = 0
     reset_threshold: int = field(init=False)
-    rotation_accounting: str = UNIT
     virtual_root_capacity: int = -1
-    vr_policy: str = "lru"
 
     def __post_init__(self):
         if self.n < 2:
@@ -103,7 +101,6 @@ class NetParams:
             raise ValueError("virtual root capacity must lie in [0, degree cap - 1]")
         if self.D < 1:
             raise ValueError("oblivious message cost D must be >= 1")
-        check_tree_modes(self.rotation_accounting, self.vr_policy)
 
 
 class NodeState:
@@ -188,14 +185,7 @@ class Network:
 
     def _new_tree(self, owner: int) -> EgoTree:
         p = self.params
-        return EgoTree(
-            owner,
-            vr_capacity=p.virtual_root_capacity,
-            rotation_accounting=p.rotation_accounting,
-            vr_policy=p.vr_policy,
-            degree=self.degree,
-            degree_cap=p.delta_cap,
-        )
+        return EgoTree(owner, vr_capacity=p.virtual_root_capacity, degree=self.degree, degree_cap=p.delta_cap)
 
     # -- request service ----------------------------------------------------
 
@@ -232,6 +222,11 @@ class Network:
             raise InvariantError(what)
 
     def _route(self, ctx: _Ctx, u: int, v: int, attempt: int) -> None:
+        # Cannot fire on consistent tables: a retransmit follows an
+        # `_add_route` that left the pair wired (v in S(u) or in u's tree, or
+        # u in v's tree), and a wired pair needs no second one, so `attempt`
+        # never passes 1.  A small node whose W holds an unwired partner
+        # loops here instead, and this guard ends the loop.
         if attempt > 3:
             raise InvariantError(f"routing ({u}, {v}) did not converge")
         su = self.nodes[u]
@@ -635,7 +630,11 @@ class Network:
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "Network":
-        given = snap["params"]
+        given = dict(snap["params"])
+        # earlier snapshots also name the only rotation accounting and virtual-root policy
+        for name, fixed in (("rotation_accounting", "unit"), ("vr_policy", "lru")):
+            if given.pop(name, fixed) != fixed:
+                raise ValueError(f"snapshot param {name} = {snap['params'][name]!r}, only {fixed!r} is supported")
         params = NetParams(**{f.name: given[f.name] for f in fields(NetParams) if f.init})
         derived = asdict(params)
         if derived != given:

@@ -87,14 +87,19 @@ def test_bad_network_params_exit_two(tmp_path, capsys, command):
     ["--workload", "star", "--n", "32", "--c", "0.5"],  # converts the hub
 ])
 def test_unknown_tree_mode_exits_two(tmp_path, capsys, flag, workload):
-    assert run_cli("run", *workload, "--m", "200", flag, "bogus", "--out", str(tmp_path / "o")) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error:") and "bogus" in err[0]
+    # a rotation always charges one link change and virtual roots are always
+    # LRU, so no tree mode is settable, not even to a value the flags once took
+    value = {"--rotation-accounting": "raw", "--vr-policy": "fifo"}[flag]
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", *workload, "--m", "200", flag, value, "--out", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("args, words", [
     (["--workload", "torus", "--n", "10"], "perfect square"),
-    (["--workload", "torus", "--n", "16", "--reps", "0"], "reps"),
+    (["--workload", "torus", "--n", "16", "--virtual-roots", "96"], "virtual root capacity"),
     (["--workload", "star", "--n", "64", "--delta", "-1"], "delta must be >= 1, got -1"),
     (["--workload", "star", "--n", "64", "--c", "inf"], "c must be finite, got inf"),
     (["--workload", "star", "--n", "64", "--c", "nan"], "c must be finite, got nan"),
@@ -112,7 +117,9 @@ def test_bad_run_config_exits_two(tmp_path, capsys, args, words):
     ('{"n": true}', "config key n must be of type int, got True"),
     ('{"c": "4"}', "config key c must be of type float, got '4'"),
     ("[1", "is not valid JSON"),
-], ids=["string-for-int", "bool-for-int", "string-for-float", "not-json"])
+    ('{"reps": 2}', "unknown config keys: reps"),
+    ('{"vr_policy": "fifo"}', "unknown config keys: vr_policy"),
+], ids=["string-for-int", "bool-for-int", "string-for-float", "not-json", "retired-reps", "retired-vr-policy"])
 def test_bad_config_file_exits_two(tmp_path, capsys, body, words):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(body)
@@ -204,8 +211,16 @@ def test_compare_command(tmp_path):
     )
     assert code == 0
     lines = (out / "compare.csv").read_text().splitlines()
-    assert lines[0].startswith("n,workload,renet_avg")
+    assert lines[0] == ("n,workload,renet_avg,renet_routing_avg,stat_avg,oblivious_avg,lower_bound,rho,"
+                        "m,sparsity_ok,worst_window_unique_pairs")
     assert len(lines) == 1 + 4
+    for line in lines[1:]:
+        row = line.split(",")
+        summary = json.loads((out / f"{row[1]}_n{row[0]}" / "summary.json").read_text())
+        assert row[8:] == [str(summary["m"]), json.dumps(summary["sparsity_ok"]),
+                           str(summary["worst_window_unique_pairs"])]
+    # at c=4 the torus cells are sparse and the uniform cells are not
+    assert [line.split(",")[9] for line in lines[1:]] == ["true", "false", "true", "false"]
 
 
 @pytest.mark.parametrize("command, m_flag, m", [
@@ -331,6 +346,31 @@ def test_validate_rejects_params_that_disagree_with_n_and_c(tmp_path, capsys, na
     assert run_cli("validate", str(bad_path)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"cannot load snapshot: snapshot param {name} = {value}")
+
+
+@pytest.mark.parametrize("accounting, policy, error", [
+    ("unit", "lru", None),
+    ("raw", "lru", "snapshot param rotation_accounting = 'raw', only 'unit' is supported"),
+    ("unit", "fifo", "snapshot param vr_policy = 'fifo', only 'lru' is supported"),
+])
+def test_validate_reads_the_retired_tree_modes_of_older_snapshots(tmp_path, capsys, accounting, policy, error):
+    # snapshots used to name the rotation accounting and the virtual-root
+    # policy among their params; only the one setting that remains loads
+    out = tmp_path / "out"
+    assert run_cli("run", "--workload", "star", "--n", "16", "--m", "400", "--c", "0.5",
+                   "--seed", "7", "--out", str(out)) == 0
+    snap = json.loads((out / "snapshot.json").read_text())
+    assert snap["trees"]
+    snap["params"].update(rotation_accounting=accounting, vr_policy=policy)
+    old_path = tmp_path / "old.json"
+    old_path.write_text(json.dumps(snap))
+    capsys.readouterr()
+    assert run_cli("validate", str(old_path)) == (0 if error is None else 2)
+    captured = capsys.readouterr()
+    if error is None:
+        assert captured.out == "snapshot invariants: ok\n" and captured.err == ""
+    else:
+        assert captured.err.splitlines() == [f"cannot load snapshot: {error}"]
 
 
 def test_debug_env_enables_per_request_sweeps(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from renet.baselines import bisect_tree
-from renet.ego_tree import RAW, UNIT, EgoTree, _Entry
+from renet.ego_tree import EgoTree, _Entry
 
 OWNER = 100
 
@@ -249,12 +249,12 @@ tree_ops = st.lists(
 )
 
 
-@given(st.permutations(range(24)), tree_ops, st.sampled_from([UNIT, RAW]), st.sampled_from([0, 3]), st.integers(2, 5))
+@given(st.permutations(range(24)), tree_ops, st.sampled_from([0, 3]), st.integers(2, 5))
 @settings(max_examples=300, deadline=None)
-def test_fused_splay_matches_rotation_by_rotation(order, op_list, accounting, vr_cap, cap):
+def test_fused_splay_matches_rotation_by_rotation(order, op_list, vr_cap, cap):
     owner = 30
     trees = [
-        cls(owner, vr_capacity=vr_cap, rotation_accounting=accounting, degree=[0] * (owner + 1), degree_cap=cap)
+        cls(owner, vr_capacity=vr_cap, degree=[0] * (owner + 1), degree_cap=cap)
         for cls in (EgoTree, RotationSplayTree)
     ]
     for t in trees:  # a random search tree about twice as deep as a balanced one
@@ -371,15 +371,6 @@ def test_virtual_roots_lru_eviction():
     assert set(t.vr) == {0, 2}
 
 
-def test_virtual_roots_fifo_policy():
-    t = make_tree(list(range(6)), vr_capacity=2, vr_policy="fifo")
-    t.adjust(0)
-    t.adjust(1)
-    t.adjust(0)            # no refresh under fifo
-    t.adjust(2)            # evicts 0, the first comer
-    assert set(t.vr) == {1, 2}
-
-
 def test_virtual_root_admission_guard():
     # an accessed entry becomes a virtual root only while its occupant is
     # below the degree cap; a splayed entry keeps its owner link and a child,
@@ -456,15 +447,6 @@ def test_take_edge_changes_reports_nodes_over_the_cap():
     assert t.take_edge_changes() == [5]
     assert t.take_edge_changes() == []  # each report is handed over once
     assert t.degree[5] == degrees_of(t.edges())[5] == 3
-
-
-def test_raw_accounting_charges_more():
-    t_unit = make_tree(list(range(16)), rotation_accounting=UNIT)
-    t_raw = make_tree(list(range(16)), rotation_accounting=RAW)
-    rotations = t_unit.depth(0)
-    assert t_raw.depth(0) == rotations
-    assert t_raw.adjust(0) == rotations * 6
-    assert t_unit.adjust(0) == rotations * 1
 
 
 @given(st.lists(st.integers(0, 30), min_size=1, max_size=40, unique=True))
