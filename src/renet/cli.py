@@ -57,7 +57,6 @@ from .trace import (
 
 DEBUG_ENV = "RENET_DEBUG_INVARIANTS"
 WORKLOAD_NAMES = ("torus", "star", "rrg", "product", "uniform")
-BASELINE_NAMES = ("stat", "oblivious")
 # the type of each field annotation, for its flag and its config-file value
 FIELD_TYPES = {"int": int, "float": float, "str": str}
 
@@ -75,11 +74,8 @@ class ExperimentConfig:
     phases: int = 4
     m_each: int = 0          # 0 -> n * ceil(log2 n)
     c: float = 1.0
-    D: int = 0               # 0 -> ceil(log2 n)
     seed: int = 1
     delta: int = 0           # sparsity window; 0 -> whole trace
-    virtual_roots: int = -1  # -1 -> degree cap minus one
-    baselines: str = "stat,oblivious"
     out: str = "out"
     trace: str = ""          # CSV path; empty -> generate the workload
     window: int = 0          # entropy command; 0 -> m // 10
@@ -151,18 +147,14 @@ def build_trace(cfg: ExperimentConfig, seed: int) -> Trace:
 
 def make_params(cfg: ExperimentConfig, n: int) -> NetParams:
     try:
-        # the config's sentinels (D = 0, virtual_roots = -1) are NetParams' own
-        return NetParams(n, cfg.c, cfg.D, cfg.virtual_roots)
+        return NetParams(n, cfg.c)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def run_cell(cfg: ExperimentConfig, trace: Trace, params: NetParams, outdir: Path) -> dict:
-    """One full replay plus baseline comparisons; writes all report files."""
+    """One full replay plus both baseline comparisons; writes all report files."""
     delta = cfg.delta or len(trace)
-    wanted = {b.strip() for b in cfg.baselines.split(",") if b.strip()}
-    if not wanted <= set(BASELINE_NAMES):
-        raise ConfigError(f"baselines must be among {', '.join(BASELINE_NAMES)}, got {cfg.baselines!r}")
     try:
         sparsity_params = SparsityParams(cfg.c, delta)
     except ValueError as exc:
@@ -219,18 +211,16 @@ def run_cell(cfg: ExperimentConfig, trace: Trace, params: NetParams, outdir: Pat
             f"(worst window has {sparsity.worst_unique_pairs} unique pairs)",
             file=sys.stderr,
         )
-    if "stat" in wanted:
-        try:
-            dan = build_static_dan(trace, params)
-            summary["stat_avg"] = stat_cost(dan, trace)
-            summary["rho_vs_stat"] = rho_estimate(summary["avg_cost"], summary["stat_avg"])
-        except StaticBuildError as exc:
-            summary["stat_avg"] = None
-            summary["rho_vs_stat"] = None
-            summary["stat_error"] = str(exc)
-    if "oblivious" in wanted:
-        summary["oblivious_avg"] = oblivious_cost(ObliviousNet.build(params.n), trace)
-        summary["rho_vs_oblivious"] = rho_estimate(summary["avg_cost"], summary["oblivious_avg"])
+    try:
+        dan = build_static_dan(trace, params)
+        summary["stat_avg"] = stat_cost(dan, trace)
+        summary["rho_vs_stat"] = rho_estimate(summary["avg_cost"], summary["stat_avg"])
+    except StaticBuildError as exc:
+        summary["stat_avg"] = None
+        summary["rho_vs_stat"] = None
+        summary["stat_error"] = str(exc)
+    summary["oblivious_avg"] = oblivious_cost(ObliviousNet.build(params.n), trace)
+    summary["rho_vs_oblivious"] = rho_estimate(summary["avg_cost"], summary["oblivious_avg"])
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
     return summary
@@ -328,6 +318,14 @@ def cmd_validate(snapshot_path: str) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line and exits 2, as every other
+    bad input does; subparsers are built from the same class."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat-key JSON config file")
     for f in dataclasses.fields(ExperimentConfig):
@@ -335,7 +333,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="renet", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="renet", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "compare", "entropy"):
         _add_config_flags(subs.add_parser(name))

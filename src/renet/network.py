@@ -29,11 +29,11 @@ only the packet's current position, not its path, and the packet must end
 at its destination.  A served request returns its ledger row and leaves no
 other record.
 
-A network keeps one request context (the packet's position and the row's
-four counters) and resets it per request; only a debug-checked request
-builds a fresh one, since it also copies the start degrees.  A tree's
-over-cap nodes are read, and shed, only after an operation that reported
-one.
+The network serves one request at a time and holds it while it does: the
+packet's position and the row's four counters, zeroed per request, and for
+a debug-checked request also the start degrees and the nodes and trees the
+request touched, which the sweep after it re-checks.  A tree's over-cap
+nodes are read, and shed, only after an operation that reported one.
 
 Helpers are picked from an index of small nodes bucketed by helper load,
 rebuilt lazily after each reset (see `find_helper`).
@@ -69,15 +69,16 @@ class HelperExhaustion(InvariantError):
 
 @dataclass(frozen=True)
 class NetParams:
-    """Network constants.  θ = max(2, ⌈4c⌉), the degree cap 6θ and the
-    reset threshold ⌊nθ/2⌋ are derived here; D = 0 means ⌈log2 n⌉ and a
-    negative virtual-root capacity means 6θ - 1."""
+    """Network constants.  θ = max(2, ⌈4c⌉), the degree cap 6θ, the reset
+    threshold ⌊nθ/2⌋ and the oblivious message cost D = ⌈log2 n⌉ (the
+    diameter of the de Bruijn fabric) are derived here; a negative
+    virtual-root capacity means 6θ - 1."""
 
     n: int
     c: float
     theta: int = field(init=False)
     delta_cap: int = field(init=False)
-    D: int = 0
+    D: int = field(init=False)
     reset_threshold: int = field(init=False)
     virtual_root_capacity: int = -1
 
@@ -90,17 +91,14 @@ class NetParams:
             raise ValueError(f"sparsity constant c must be >= 0.5 so that 2c >= 1, got {self.c}")
         theta = max(2, math.ceil(4 * self.c))
         delta_cap = 6 * theta
-        derived = {"theta": theta, "delta_cap": delta_cap, "reset_threshold": (self.n * theta) // 2}
-        if self.D == 0:
-            derived["D"] = max(1, math.ceil(math.log2(self.n)))
+        derived = {"theta": theta, "delta_cap": delta_cap, "D": math.ceil(math.log2(self.n)),
+                   "reset_threshold": (self.n * theta) // 2}
         if self.virtual_root_capacity < 0:
             derived["virtual_root_capacity"] = delta_cap - 1
         for name, value in derived.items():
             object.__setattr__(self, name, value)
         if self.virtual_root_capacity > self.delta_cap - 1:
             raise ValueError("virtual root capacity must lie in [0, degree cap - 1]")
-        if self.D < 1:
-            raise ValueError("oblivious message cost D must be >= 1")
 
 
 class NodeState:
@@ -115,28 +113,9 @@ class NodeState:
         self.helping: set[tuple[int, int]] = set()  # large-large pairs relayed
         self.tree: Optional[EgoTree] = None
 
-    def table_ports(self, vr_capacity: int) -> int:
-        if self.large:
-            return 1 + vr_capacity
+    def table_ports(self) -> int:
+        """Ports a small node's table takes."""
         return len(self.S) + 3 * len(self.trees_in) + 6 * len(self.helping)
-
-
-class _Ctx:
-    __slots__ = ("hops", "adjust", "coord", "reset_cost", "at", "debug",
-                 "degree_before", "touched_nodes", "touched_trees")
-
-    def __init__(self, src: int, degree: Optional[list] = None):
-        self.hops = 0
-        self.adjust = 0
-        self.coord = 0
-        self.reset_cost = 0
-        self.at = src  # the node holding the packet
-        # for the debug sweep only: start degrees, changed tables and trees
-        self.debug = degree is not None
-        if self.debug:
-            self.degree_before = degree[:]
-            self.touched_nodes: set[int] = set()
-            self.touched_trees: set[int] = set()
 
 
 class Network:
@@ -151,20 +130,26 @@ class Network:
         self.path_failures = 0
         self.debug_checks = False
         self._helper_levels: Optional[list[list[int]]] = None  # see find_helper
-        self._ctx = _Ctx(0)  # reset by each request that runs without debug checks
+        # the request being served: the node holding the packet and the row's counters
+        self._at = 0
+        self._hops = self._adjust = self._coord = self._reset_cost = 0
+        # for the debug sweep only: start degrees, changed tables and trees
+        self._degree_before: list[int] = []
+        self._touched_nodes: set[int] = set()
+        self._touched_trees: set[int] = set()
 
     # -- tree operations and the degree cap ----------------------------------
 
-    def _settle(self, ctx: _Ctx, tree: EgoTree, link_changes: int) -> None:
+    def _settle(self, tree: EgoTree, link_changes: int) -> None:
         """Charge one finished tree operation, then enforce the degree cap on
         the nodes it pushed over; a spike mid-rotation sheds nothing."""
-        ctx.adjust += link_changes
+        self._adjust += link_changes
         if tree._over:
-            self._shed_virtual_roots(ctx, tree.take_edge_changes())
-        if ctx.debug:
-            ctx.touched_trees.add(tree.owner)
+            self._shed_virtual_roots(tree.take_edge_changes())
+        if self.debug_checks:
+            self._touched_trees.add(tree.owner)
 
-    def _shed_virtual_roots(self, ctx: _Ctx, nodes: Iterable[int]) -> None:
+    def _shed_virtual_roots(self, nodes: Iterable[int]) -> None:
         # Virtual-root links are the only unbudgeted ports; drop memberships
         # of each node still over the cap until its degree fits again.
         cap = self.params.delta_cap
@@ -179,9 +164,9 @@ class Network:
                 if victim is None:
                     raise InvariantError(f"degree overflow at node {node} with no virtual root to shed")
                 tree, key = victim
-                ctx.adjust += tree.evict_virtual_root(key)
-                if ctx.debug:
-                    ctx.touched_trees.add(tree.owner)
+                self._adjust += tree.evict_virtual_root(key)
+                if self.debug_checks:
+                    self._touched_trees.add(tree.owner)
 
     def _new_tree(self, owner: int) -> EgoTree:
         p = self.params
@@ -189,39 +174,34 @@ class Network:
 
     # -- request service ----------------------------------------------------
 
-    def _check_ids(self, u: int, v: int) -> None:
-        n = self.params.n
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"unknown node in request ({u}, {v})")
-        if u == v:
-            raise ValueError("self-requests are not part of the model")
-
     def serve_request(self, u: int, v: int) -> tuple[int, int, int, int]:
         """Route one request, self-adjust, and account all costs; returns the
         ledger row (hops, adjust, coord, reset).  The hop checks follow the
         packet's position only; a failed one counts in `path_failures`."""
         n = self.params.n
         if not (0 <= u < n and 0 <= v < n and u != v):
-            self._check_ids(u, v)
+            if u == v and 0 <= u < n:
+                raise ValueError("self-requests are not part of the model")
+            raise ValueError(f"unknown node in request ({u}, {v})")
+        self._at = u
+        self._hops = self._adjust = self._coord = self._reset_cost = 0
         if self.debug_checks:
-            ctx = _Ctx(u, self.degree)  # the sweep needs the start degrees
-        else:
-            ctx = self._ctx
-            ctx.hops = ctx.adjust = ctx.coord = ctx.reset_cost = 0
-            ctx.at = u
-        self._route(ctx, u, v, 0)
-        if ctx.at != v:
-            self._path_failed(f"packet for {v} stopped at {ctx.at}")
+            self._degree_before = self.degree[:]
+            self._touched_nodes = set()
+            self._touched_trees = set()
+        self._route(u, v, 0)
+        if self._at != v:
+            self._path_failed(f"packet for {v} stopped at {self._at}")
         if self.debug_checks:
-            self._debug_sweep(ctx)
-        return ctx.hops, ctx.adjust, ctx.coord, ctx.reset_cost
+            self._debug_sweep()
+        return self._hops, self._adjust, self._coord, self._reset_cost
 
     def _path_failed(self, what: str) -> None:
         self.path_failures += 1
         if self.debug_checks:
             raise InvariantError(what)
 
-    def _route(self, ctx: _Ctx, u: int, v: int, attempt: int) -> None:
+    def _route(self, u: int, v: int, attempt: int) -> None:
         # Cannot fire on consistent tables: a retransmit follows an
         # `_add_route` that left the pair wired (v in S(u) or in u's tree, or
         # u in v's tree), and a wired pair needs no second one, so `attempt`
@@ -234,61 +214,61 @@ class Network:
             if v in su.S:
                 if u not in self.nodes[v].S:
                     self._path_failed(f"hop {u}-{v} crosses no physical edge")
-                ctx.hops += 1
-                ctx.at = v
+                self._hops += 1
+                self._at = v
                 return
             if v in su.trees_in:
-                self._walk_up(ctx, u, u, v)
-                self._adjust_tree(ctx, v, u)
+                self._walk_up(u, u, v)
+                self._adjust_tree(v, u)
                 return
-            self._add_route(ctx, u, v)
-            self._route(ctx, u, v, attempt + 1)
+            self._add_route(u, v)
+            self._route(u, v, attempt + 1)
             return
         tree = su.tree
         res = tree.route_down(v)
-        self._walk_down(ctx, tree, res)
+        self._walk_down(tree, res)
         last = res.entries[-1]
         if not res.hit:
             resets_before = self.reset_count
-            self._add_route(ctx, u, v, no_splay_tree=u)
-            if self.reset_count != resets_before or last.occupant != ctx.at:
+            self._add_route(u, v, no_splay_tree=u)
+            if self.reset_count != resets_before or last.occupant != self._at:
                 # the flush tore the tree down mid-walk, or a conversion
                 # handed the anchor seat to a fresh helper under the paused
                 # packet; retransmit from the source, keeping the hops spent
-                ctx.at = u
-                self._route(ctx, u, v, attempt + 1)
+                self._at = u
+                self._route(u, v, attempt + 1)
                 return
             # the coordinator attached v as an unsplayed leaf under the anchor
             leaf = tree._by_key[v]
             if leaf.parent is not last:
                 self._path_failed(f"hop {last.occupant}-{leaf.occupant} crosses no link of tree({u})")
-            ctx.hops += 1
-            ctx.at = leaf.occupant
+            self._hops += 1
+            self._at = leaf.occupant
             last = leaf
         occ = last.occupant
         if occ == v:
-            self._adjust_tree(ctx, u, v)
+            self._adjust_tree(u, v)
             return
         # helper relay: occ sits in the destination tree as key u
-        self._walk_up(ctx, occ, u, v)
-        self._adjust_tree(ctx, v, u)  # destination splays the delivering tree
-        self._adjust_tree(ctx, u, v)  # helper splays the source tree it serves
+        self._walk_up(occ, u, v)
+        self._adjust_tree(v, u)  # destination splays the delivering tree
+        self._adjust_tree(u, v)  # helper splays the source tree it serves
 
-    def _walk_down(self, ctx: _Ctx, tree: EgoTree, res: DownRoute) -> None:
+    def _walk_down(self, tree: EgoTree, res: DownRoute) -> None:
         """Take the hops of a root-to-key walk, checking each one against
         the parent pointer of the entry it lands on."""
         entries = res.entries
         above = entries[0]
         if above is not tree.root and above.key not in tree.vr:
-            self._path_failed(f"hop {ctx.at}-{above.occupant} crosses no link of tree({tree.owner})")
+            self._path_failed(f"hop {self._at}-{above.occupant} crosses no link of tree({tree.owner})")
         for e in entries[1:]:
             if e.parent is not above:
                 self._path_failed(f"hop {above.occupant}-{e.occupant} crosses no link of tree({tree.owner})")
             above = e
-        ctx.at = above.occupant
-        ctx.hops += len(entries)
+        self._at = above.occupant
+        self._hops += len(entries)
 
-    def _walk_up(self, ctx: _Ctx, start: int, from_key: int, tree_owner: int) -> None:
+    def _walk_up(self, start: int, from_key: int, tree_owner: int) -> None:
         """Take the hops of a key-to-owner walk from node `start`, checking
         that each entry left is a child of the next (the root or a virtual
         root, for the last hop to the owner)."""
@@ -303,37 +283,37 @@ class Network:
             below = e
         if below is not tree.root and below.key not in tree.vr:
             self._path_failed(f"hop {below.occupant}-{tree_owner} crosses no link of tree({tree_owner})")
-        ctx.at = tree_owner
-        ctx.hops += len(entries)
+        self._at = tree_owner
+        self._hops += len(entries)
 
-    def _adjust_tree(self, ctx: _Ctx, owner: int, key: int) -> None:
+    def _adjust_tree(self, owner: int, key: int) -> None:
         tree = self.nodes[owner].tree
-        self._settle(ctx, tree, tree.adjust(key))
+        self._settle(tree, tree.adjust(key))
 
     # -- coordinator --------------------------------------------------------
 
-    def _add_route(self, ctx: _Ctx, u: int, v: int, no_splay_tree: Optional[int] = None) -> None:
+    def _add_route(self, u: int, v: int, no_splay_tree: Optional[int] = None) -> None:
         p = self.params
-        ctx.coord += 2 * p.D
+        self._coord += 2 * p.D
         su, sv = self.nodes[u], self.nodes[v]
         if v in su.working:
             return
         # flush-when-full: this route would grow the working sets past the cap
         if self.total_ws + 2 > p.reset_threshold:
-            self._do_reset(ctx)  # clears the node states in place
+            self._reset_cost += self.reset()  # clears the node states in place
         su.working.add(v)
         sv.working.add(u)
         self.total_ws += 2
-        if ctx.debug:
-            ctx.touched_nodes.update((u, v))
+        if self.debug_checks:
+            self._touched_nodes.update((u, v))
         # a conversion re-wires every partner in W, this one included
         converts = [x for x, s in ((u, su), (v, sv)) if not s.large and len(s.working) == p.theta + 1]
         for x in converts:
-            self._make_large(ctx, x, no_splay_tree)
+            self._make_large(x, no_splay_tree)
         if not converts:
-            self._link_pair(ctx, u, v, no_splay_tree)
+            self._link_pair(u, v, no_splay_tree)
 
-    def _link_pair(self, ctx: _Ctx, u: int, v: int, no_splay_tree: Optional[int]) -> None:
+    def _link_pair(self, u: int, v: int, no_splay_tree: Optional[int]) -> None:
         """Wire a pair by its size classes: a direct link between two small
         nodes, a membership in the large end's tree, or a helper seated in
         both trees."""
@@ -343,60 +323,60 @@ class Network:
             sv.S.add(u)
             self.degree[u] += 1
             self.degree[v] += 1
-            ctx.adjust += 1
-            self._shed_virtual_roots(ctx, (u, v))
+            self._adjust += 1
+            self._shed_virtual_roots((u, v))
         elif not sv.large:
-            self._tree_insert(ctx, u, v, v, no_splay_tree)
+            self._tree_insert(u, v, v, no_splay_tree)
             sv.trees_in.add(u)
         elif not su.large:
-            self._tree_insert(ctx, v, u, u, no_splay_tree)
+            self._tree_insert(v, u, u, no_splay_tree)
             su.trees_in.add(v)
         else:
-            self._seat_helper(ctx, (u, v), self.find_helper(u, v), no_splay_tree)
+            self._seat_helper((u, v), self.find_helper(u, v), no_splay_tree)
 
-    def _seat_helper(self, ctx: _Ctx, pair: tuple[int, int], x: int, no_splay_tree: Optional[int]) -> None:
+    def _seat_helper(self, pair: tuple[int, int], x: int, no_splay_tree: Optional[int]) -> None:
         """Seat helper x in the trees of both ends of `pair`, the first end's
         first (each operation may shed virtual roots, so the order shows in
         the costs); x takes over a key already present, else is inserted."""
-        ctx.coord += self.params.D
+        self._coord += self.params.D
         a, b = pair
         for owner, key in ((a, b), (b, a)):
             tree = self.nodes[owner].tree
             if key in tree:
-                self._settle(ctx, tree, tree.replace_occupant(key, x))
+                self._settle(tree, tree.replace_occupant(key, x))
             else:
-                self._tree_insert(ctx, owner, key, x, no_splay_tree)
+                self._tree_insert(owner, key, x, no_splay_tree)
         self.assign_helper(x, edge_key(a, b))
-        if ctx.debug:
-            ctx.touched_nodes.add(x)
+        if self.debug_checks:
+            self._touched_nodes.add(x)
 
-    def _tree_insert(self, ctx: _Ctx, owner: int, key: int, occupant: int, no_splay_tree: Optional[int]) -> None:
+    def _tree_insert(self, owner: int, key: int, occupant: int, no_splay_tree: Optional[int]) -> None:
         tree = self.nodes[owner].tree
-        self._settle(ctx, tree, tree.insert(key, occupant, splay=(owner != no_splay_tree)))
+        self._settle(tree, tree.insert(key, occupant, splay=(owner != no_splay_tree)))
 
-    def _make_large(self, ctx: _Ctx, u: int, no_splay_tree: Optional[int]) -> None:
+    def _make_large(self, u: int, no_splay_tree: Optional[int]) -> None:
         su = self.nodes[u]
         # shed helper duties first; only small nodes may relay
         for pair in sorted(su.helping):
-            self._seat_helper(ctx, pair, self.find_helper(*pair, exclude=(u,)), no_splay_tree)
+            self._seat_helper(pair, self.find_helper(*pair, exclude=(u,)), no_splay_tree)
         su.helping.clear()
         su.large = True
         su.tree = self._new_tree(u)
-        if ctx.debug:
-            ctx.touched_nodes.update(su.working)
+        if self.debug_checks:
+            self._touched_nodes.update(su.working)
         # each partner pays D, loses its direct link and is re-wired by the
         # route-addition rule, one partner at a time: dropping every direct link
         # up front would lower degrees earlier and change what the cap sheds
         for v in sorted(su.working):
-            ctx.coord += self.params.D
+            self._coord += self.params.D
             if v in su.S:
                 su.S.discard(v)
                 self.nodes[v].S.discard(u)
                 self.degree[u] -= 1
                 self.degree[v] -= 1
-                ctx.adjust += 1
+                self._adjust += 1
             su.trees_in.discard(v)
-            self._link_pair(ctx, u, v, no_splay_tree)
+            self._link_pair(u, v, no_splay_tree)
         # cannot fire: S and trees_in lie inside W, and the loop clears both per partner
         if su.S or su.trees_in:
             raise InvariantError(f"make_large({u}) left stale table entries")
@@ -410,7 +390,7 @@ class Network:
         so an entry whose node turned large or whose load left its level is
         stale for good and is popped when met.  The index is built from the
         node tables on the first call after a reset (or after loading
-        tables directly) and kept current by `assign_helper`; `_do_reset`
+        tables directly) and kept current by `assign_helper`; `reset`
         drops it.  Banned nodes and nodes without port room are popped,
         passed over, and pushed back (the port check cannot bind for a small
         node, since 3θ + 6·floor(2c) <= 6θ, but it stays a check).
@@ -431,7 +411,7 @@ class Network:
                 s = nodes[x]
                 if s.large or len(s.helping) != load:
                     heappop(heap)
-                elif x in banned or s.table_ports(p.virtual_root_capacity) + 6 > p.delta_cap:
+                elif x in banned or s.table_ports() + 6 > p.delta_cap:
                     passed.append(heappop(heap))
                 else:
                     best = x
@@ -464,12 +444,8 @@ class Network:
             heappush(levels[len(helping)], x)
 
     def reset(self) -> int:
-        """Clear all working sets and tables; every node returns to small."""
-        ctx = _Ctx(0)
-        self._do_reset(ctx)
-        return self.params.n
-
-    def _do_reset(self, ctx: _Ctx) -> None:
+        """Clear all working sets and tables; every node returns to small.
+        Returns the reset's cost, n."""
         for s in self.nodes:
             s.large = False
             s.working.clear()
@@ -482,7 +458,7 @@ class Network:
         self._helper_levels = None
         self.total_ws = 0
         self.reset_count += 1
-        ctx.reset_cost += self.params.n
+        return self.params.n
 
     # -- invariants ---------------------------------------------------------
 
@@ -501,7 +477,9 @@ class Network:
 
     def _check_node(self, x: int, degree: int, bad: list[str]) -> None:
         """The per-node rules: degree cap, size class against |W|, and for a
-        small node the table budget and helper load."""
+        small node the table budget, helper load and a wired link to each
+        working-set partner (direct to a small one, a membership in a large
+        one's tree)."""
         p = self.params
         s = self.nodes[x]
         if degree > p.delta_cap:
@@ -512,20 +490,23 @@ class Network:
         else:
             if len(s.working) > p.theta:
                 bad.append(f"node {x} small with |W| = {len(s.working)}")
-            ports = s.table_ports(p.virtual_root_capacity)
+            ports = s.table_ports()
             if ports > p.delta_cap:
                 bad.append(f"table({x}) = {ports} ports > {p.delta_cap}")
             if len(s.helping) > 2 * p.c:
                 bad.append(f"helper load({x}) = {len(s.helping)} > 2c = {2 * p.c}")
+            for v in s.working:
+                if v not in (s.trees_in if self.nodes[v].large else s.S):
+                    bad.append(f"working-set partner {v} of node {x} is not wired")
 
-    def _debug_sweep(self, ctx: _Ctx) -> None:
+    def _debug_sweep(self) -> None:
         p = self.params
         bad: list[str] = []
         # without a tree operation only touched nodes' links changed
-        changed = compress(count(), map(ne, ctx.degree_before, self.degree)) if ctx.touched_trees else ()
-        for x in sorted(ctx.touched_nodes.union(changed)):
+        changed = compress(count(), map(ne, self._degree_before, self.degree)) if self._touched_trees else ()
+        for x in sorted(self._touched_nodes.union(changed)):
             self._check_node(x, self.degree[x], bad)
-        for w in sorted(ctx.touched_trees):
+        for w in sorted(self._touched_trees):
             s = self.nodes[w]
             if s.large and s.tree is not None:
                 bad.extend(s.tree.check_structure())

@@ -13,7 +13,7 @@ def run_cli(*args):
 
 
 def test_config_round_trips():
-    cfg = ExperimentConfig(workload="star", n=32, alpha=1.5, baselines="stat")
+    cfg = ExperimentConfig(workload="star", n=32, alpha=1.5)
     assert ExperimentConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
@@ -81,29 +81,31 @@ def test_bad_network_params_exit_two(tmp_path, capsys, command):
     assert len(err) == 1 and err[0].startswith("config error:") and "0.5" in err[0]
 
 
-@pytest.mark.parametrize("flag", ["--rotation-accounting", "--vr-policy"])
+@pytest.mark.parametrize("flag", ["--rotation-accounting", "--vr-policy", "--D", "--virtual-roots", "--baselines"])
 @pytest.mark.parametrize("workload", [
     ["--workload", "torus", "--n", "16", "--c", "4"],   # builds no tree
     ["--workload", "star", "--n", "32", "--c", "0.5"],  # converts the hub
 ])
 def test_unknown_tree_mode_exits_two(tmp_path, capsys, flag, workload):
-    # a rotation always charges one link change and virtual roots are always
-    # LRU, so no tree mode is settable, not even to a value the flags once took
-    value = {"--rotation-accounting": "raw", "--vr-policy": "fifo"}[flag]
+    # a rotation always charges one link change, virtual roots are always LRU
+    # and take the degree cap minus one, D is always ceil(log2 n) and every
+    # run prices both baselines, so none of these is settable, not even to a
+    # value its flag once took
+    value = {"--rotation-accounting": "raw", "--vr-policy": "fifo", "--D": "5", "--virtual-roots": "0",
+             "--baselines": "stat"}[flag]
     with pytest.raises(SystemExit) as exc:
         run_cli("run", *workload, "--m", "200", flag, value, "--out", str(tmp_path / "o"))
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [f"renet: error: unrecognized arguments: {flag} {value}"]
     assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("args, words", [
     (["--workload", "torus", "--n", "10"], "perfect square"),
-    (["--workload", "torus", "--n", "16", "--virtual-roots", "96"], "virtual root capacity"),
+    (["--workload", "bogus"], "workload must be one of"),
     (["--workload", "star", "--n", "64", "--delta", "-1"], "delta must be >= 1, got -1"),
     (["--workload", "star", "--n", "64", "--c", "inf"], "c must be finite, got inf"),
     (["--workload", "star", "--n", "64", "--c", "nan"], "c must be finite, got nan"),
-    (["--workload", "star", "--n", "64", "--baselines", "stat,bogus"], "'stat,bogus'"),
 ])
 def test_bad_run_config_exits_two(tmp_path, capsys, args, words):
     # the case's own flags come last, so they win over the defaults
@@ -119,21 +121,17 @@ def test_bad_run_config_exits_two(tmp_path, capsys, args, words):
     ("[1", "is not valid JSON"),
     ('{"reps": 2}', "unknown config keys: reps"),
     ('{"vr_policy": "fifo"}', "unknown config keys: vr_policy"),
-], ids=["string-for-int", "bool-for-int", "string-for-float", "not-json", "retired-reps", "retired-vr-policy"])
+    ('{"D": 5}', "unknown config keys: D"),
+    ('{"virtual_roots": 0}', "unknown config keys: virtual_roots"),
+    ('{"baselines": ""}', "unknown config keys: baselines"),
+], ids=["string-for-int", "bool-for-int", "string-for-float", "not-json", "retired-reps", "retired-vr-policy",
+        "retired-D", "retired-virtual-roots", "retired-baselines"])
 def test_bad_config_file_exits_two(tmp_path, capsys, body, words):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(body)
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and words in err[0]
-
-
-def test_empty_baselines_run_none(tmp_path):
-    out = tmp_path / "out"
-    assert run_cli("run", "--workload", "star", "--n", "64", "--m", "100", "--baselines", "",
-                   "--out", str(out)) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert "stat_avg" not in summary and "oblivious_avg" not in summary
 
 
 @pytest.mark.parametrize("command", [
@@ -346,6 +344,21 @@ def test_validate_rejects_params_that_disagree_with_n_and_c(tmp_path, capsys, na
     assert run_cli("validate", str(bad_path)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"cannot load snapshot: snapshot param {name} = {value}")
+
+
+def test_validate_rejects_a_virtual_root_capacity_over_the_cap(tmp_path, capsys):
+    # a snapshot is the only way to set the capacity; at c = 1 the degree cap is 24
+    out = tmp_path / "out"
+    assert run_cli("run", "--workload", "star", "--n", "16", "--m", "300", "--c", "1", "--out", str(out)) == 0
+    snap = json.loads((out / "snapshot.json").read_text())
+    assert snap["params"]["virtual_root_capacity"] == 23
+    snap["params"]["virtual_root_capacity"] = 96
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(snap))
+    capsys.readouterr()
+    assert run_cli("validate", str(bad_path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["cannot load snapshot: virtual root capacity must lie in [0, degree cap - 1]"]
 
 
 @pytest.mark.parametrize("accounting, policy, error", [

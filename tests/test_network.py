@@ -65,11 +65,13 @@ def test_params_reject_c_below_half(c):
 
 
 def test_params_derive_their_constants_and_resolve_sentinels():
-    p = NetParams(8, 1, D=0, virtual_root_capacity=-1)
-    assert p == NetParams(8, 1, D=3, virtual_root_capacity=23)
+    p = NetParams(8, 1, virtual_root_capacity=-1)
+    assert p == NetParams(8, 1, virtual_root_capacity=23)
+    assert p.D == 3
     assert list(asdict(p)) == ["n", "c", "theta", "delta_cap", "D", "reset_threshold", "virtual_root_capacity"]
-    with pytest.raises(TypeError):
-        NetParams(8, 1, theta=4)
+    for derived in ("theta", "D"):
+        with pytest.raises(TypeError):
+            NetParams(8, 1, **{derived: 4})
 
 
 @pytest.mark.parametrize("name, value", [
@@ -126,10 +128,11 @@ def test_large_source_pays_tree_depth():
 
 def test_serve_rejects_bad_requests():
     net = fresh(8, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="self-requests are not part of the model"):
         net.serve_request(1, 1)
-    with pytest.raises(ValueError):
-        net.serve_request(0, 8)
+    for u, v in ((0, 8), (-1, 2), (9, 9)):  # an unknown node wins over a self-request
+        with pytest.raises(ValueError, match=rf"unknown node in request \({u}, {v}\)"):
+            net.serve_request(u, v)
 
 
 # -- route additions (the coordinator runs on a request's first contact) ----------
@@ -590,6 +593,12 @@ def _inconsistent_duty(net):
     return rf"helper duty \({b}, {a}\) of node {x} is inconsistent"
 
 
+def _unwired_partner(net):
+    x, w = member(net)
+    net.nodes[x].trees_in.discard(w)  # x still sits in tree(w), but its table forgets it
+    return rf"working-set partner {w} of node {x} is not wired"
+
+
 def _total_ws_cache(net):
     net.total_ws += 1
     return rf"total_ws cache {net.total_ws} != {net.total_ws - 1}"
@@ -605,6 +614,7 @@ VALIDATION_FAULTS = {
     "small node owns a tree": _small_owns_tree,
     "broken membership": _broken_membership,
     "inconsistent helper duty": _inconsistent_duty,
+    "unwired working-set partner": _unwired_partner,
     "total_ws cache": _total_ws_cache,
 }
 
@@ -667,10 +677,10 @@ def test_hop_check_catches_helper_relay_skipping_the_walk_up(monkeypatch, debug)
     assert net.nodes[0].tree.occupant_of(1) != 1
     walk_up = Network._walk_up
 
-    def relay_skips_walk_up(self, ctx, start, from_key, tree_owner):
+    def relay_skips_walk_up(self, start, from_key, tree_owner):
         if start != from_key:  # only a helper starts at a seat keyed by someone else
             return
-        walk_up(self, ctx, start, from_key, tree_owner)
+        walk_up(self, start, from_key, tree_owner)
 
     monkeypatch.setattr(Network, "_walk_up", relay_skips_walk_up)
     assert_hop_fault_caught(net, 0, 1, debug)
@@ -786,9 +796,9 @@ def test_a_request_is_retransmitted_at_most_once(monkeypatch):
     attempts = []
     route = Network._route
 
-    def counted(self, ctx, u, v, attempt):
+    def counted(self, u, v, attempt):
         attempts.append(attempt)
-        route(self, ctx, u, v, attempt)
+        route(self, u, v, attempt)
 
     monkeypatch.setattr(Network, "_route", counted)
     net = Network(NetParams(64, 0.5))
@@ -805,6 +815,9 @@ def test_unwired_partner_ends_at_the_retransmit_guard():
     for a, b in ((0, 1), (1, 0)):
         net.nodes[a].S.discard(b)
         net.degree[a] -= 1
+    bad = net.validate_invariants()
+    assert "working-set partner 1 of node 0 is not wired" in bad
+    assert "working-set partner 0 of node 1 is not wired" in bad
     with pytest.raises(InvariantError, match=r"routing \(0, 1\) did not converge"):
         net.serve_request(0, 1)
 
