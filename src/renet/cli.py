@@ -168,7 +168,8 @@ def run_cell(cfg: ExperimentConfig, trace: Trace, params: NetParams, outdir: Pat
         ledger = replay_trace(net, trace)
     except HelperExhaustion as exc:  # the trace is too dense, not a broken invariant
         raise ConfigError(f"replay ran out of helpers: {exc}") from exc
-    violations = net.validate_invariants()
+    edges = net.edges  # built once, for the sweep and the snapshot
+    violations = net.validate_invariants(edges)
     windows = window_report(ledger, trace, base=params.delta_cap)
 
     with open(outdir / "ledger.csv", "w") as fh:
@@ -177,7 +178,8 @@ def run_cell(cfg: ExperimentConfig, trace: Trace, params: NetParams, outdir: Pat
         write_windows_csv(windows, fh)
     with open(outdir / "snapshot.json", "w") as fh:
         # one C-encoder call: json.dump, and any indent, run the pure-Python encoder
-        fh.write(json.dumps(net.snapshot(), sort_keys=True))
+        fh.write(json.dumps(net.snapshot(edges), sort_keys=True))
+    del edges  # the baselines below set the cell's peak memory
 
     summary = {
         "n": params.n,
@@ -304,9 +306,9 @@ def cmd_validate(snapshot_path: str) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"cannot load snapshot: {exc}", file=sys.stderr)
         return 2
-    violations = net.validate_invariants()
-    # the structure is the only record of the links; the listed edges must match it
     derived = net.edges
+    violations = net.validate_invariants(derived)
+    # the structure is the only record of the links; the listed edges must match it
     differ = sorted(k for k in listed.keys() | derived.keys() if listed[k] != derived[k])
     if differ:
         violations.append(f"snapshot edge list differs from the structure on {differ[:8]}")

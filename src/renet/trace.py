@@ -7,6 +7,9 @@ ordered (src, dst) pairs with src != dst.
 A trace sorts its pairs once: `Trace.pair_table` lists the distinct pairs
 with their counts, and `Trace.pair_index` each request's row in that table.
 Every pair count in the package (sparsity, entropy, baselines) reads these.
+`Trace.prev_occurrence`, made from `pair_index` on first use, links each
+request to the previous request of its pair; the sparsity check and the
+replay's idle-request rule read it.
 """
 
 from __future__ import annotations
@@ -78,6 +81,18 @@ class Trace:
         """Each request's row in `pair_table`, in the smallest unsigned dtype."""
         return self._pairs[1]
 
+    @cached_property
+    def prev_occurrence(self) -> np.ndarray:
+        """Each request's previous request with the same (src, dst) pair, -1
+        for the first, as int32 (int64 past 2**31 requests); one stable sort
+        of `pair_index`."""
+        rows = self.pair_index
+        order = np.argsort(rows, kind="stable")
+        again = rows[order[1:]] == rows[order[:-1]]  # order[k + 1] is the next occurrence of order[k]'s pair
+        prev = np.full(len(rows), -1, dtype=np.int32 if len(rows) < 2**31 else np.int64)
+        prev[order[1:][again]] = order[:-1][again]
+        return prev
+
     def pairs_in(self, start: int = 0, stop: int | None = None) -> PairTable:
         """The pair table of requests [start, stop), counted off `pair_index`."""
         stop = len(self) if stop is None else stop
@@ -119,8 +134,9 @@ def sparsity_check(trace: Trace, params: SparsityParams) -> SparsityReport:
     The distinct-pair count of the sliding window ending at request i moves by
     +1 when pair i did not occur in the previous delta requests, and by -1 when
     request i - delta leaves and its pair does not recur up to i.  Both tests
-    need only each request's previous and next occurrence of its pair, read
-    off one stable sort of `trace.pair_index`; the running count is a cumsum.
+    need only each request's previous and next occurrence of its pair: the
+    previous is `trace.prev_occurrence`, and the next is its inverse.  The
+    running count is a cumsum.
     Every shorter window is contained in some full-length window, so scanning
     those suffices.  The worst window is the first to reach the maximum.
     An empty trace passes vacuously.
@@ -129,14 +145,11 @@ def sparsity_check(trace: Trace, params: SparsityParams) -> SparsityReport:
     if not m:
         return SparsityReport(ok=True, worst_window_start=0, worst_unique_pairs=0)
     delta = min(params.delta, m)  # a longer window holds the same pairs as the whole trace
-    rows = trace.pair_index
-    order = np.argsort(rows, kind="stable")
-    again = rows[order[1:]] == rows[order[:-1]]  # order[k + 1] is the next occurrence of order[k]'s pair
-    prev = np.full(m, -1, dtype=np.int64)
-    prev[order[1:][again]] = order[:-1][again]
-    nxt = np.full(m, m, dtype=np.int64)
-    nxt[order[:-1][again]] = order[1:][again]
+    prev = trace.prev_occurrence
     i = np.arange(m)
+    again = prev >= 0
+    nxt = np.full(m, m, dtype=np.int64)
+    nxt[prev[again]] = i[again]
     step = (prev < np.maximum(i - delta, 0)).astype(np.int64)
     step[delta:] -= nxt[:m - delta] > i[delta:]  # request i - delta leaves the window
     distinct = np.cumsum(step)

@@ -425,6 +425,8 @@ STRUCTURE_FAULTS = {
     "index size": (lambda t: t._by_key.__setitem__(9, _Entry(9, 9)), r"index size 4 != walk 3"),
     "virtual roots over the cap": (lambda t: t.vr.update({1: None, 3: None}), r"2 virtual roots > cap 1"),
     "dangling virtual root": (lambda t: t.vr.update({9: None}), r"dangling virtual root 9"),
+    "root has a parent": (lambda t: setattr(t.root, "parent", _Entry(9, 9)), r"root has a parent"),
+    "entry occupied by owner": (lambda t: setattr(t._by_key[1], "occupant", OWNER), r"entry 1 occupied by owner"),
 }
 
 

@@ -4,12 +4,12 @@ import re
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from renet.ego_tree import EgoTree
 from renet.metrics import CostLedger, average_cost
 from renet.network import HelperExhaustion, InvariantError, NetParams, Network, replay_trace
-from renet.trace import ProductDist, StarZipf, Torus, Trace, UniformPairs, generate, zipf_weights
+from renet.trace import ProductDist, RoundRobinGrids, StarZipf, Torus, Trace, UniformPairs, generate, zipf_weights
 
 
 def fresh(n, c, **kw):
@@ -886,3 +886,107 @@ def test_soak_random_traffic_keeps_invariants(pairs, c, vr_cap):
         net.serve_request(u, v)  # raises on a failed hop or a packet stopped short of v
     assert net.path_failures == 0
     assert net.validate_invariants() == []
+
+
+# -- idle requests served in bulk ------------------------------------------------
+
+
+def spec_for(workload, side, m):
+    n = side * side
+    if workload == "torus":
+        return Torus(n, m)
+    if workload == "rrg":
+        return RoundRobinGrids(n, 4, max(1, m // 4))
+    if workload == "star":
+        return StarZipf(n, m, 1.0)
+    if workload == "product":
+        return product_zipf(n, m)
+    return UniformPairs(n, m)
+
+
+def served_one_by_one(net, tr):
+    ledger = CostLedger()
+    for u, v in zip(tr.src.tolist(), tr.dst.tolist()):
+        ledger.append(*net.serve_request(u, v))
+    return ledger
+
+
+@pytest.mark.parametrize("workload", ["torus", "rrg", "star", "product", "uniform"])
+@seed(20260)
+@given(
+    st.integers(4, 16),
+    st.sampled_from([0.5, 1.0, 4.0]),
+    st.integers(10, 40),
+    st.integers(0, 2**16),
+)
+@example(8, 1.0, 40, 1)  # 64 torus nodes of 4 partners each fill the working sets: resets
+@settings(max_examples=40, deadline=None)
+def test_replay_trace_matches_serving_each_request(workload, side, c, per_node, trace_seed):
+    tr = generate(spec_for(workload, side, per_node * side * side), trace_seed)
+    bulk = Network(NetParams(tr.n, c))
+    ledger = replay_trace(bulk, tr)
+    each = Network(NetParams(tr.n, c))
+    expected = served_one_by_one(each, tr)
+    assert ledger == expected
+    assert bulk.snapshot() == each.snapshot()
+    assert (bulk.path_failures, bulk.reset_count) == (each.path_failures, each.reset_count)
+
+
+def test_partners_in_either_direction_count_toward_theta():
+    # node 0 sends to 1 and 2 and hears from 3: at most θ = 2 partners each
+    # way, but three in all, so it turns large and the repeat is not idle
+    tr = Trace(8, [0, 0, 3, 0], [1, 2, 0, 1])
+    ledger = replay_trace(Network(NetParams(8, 0.5)), tr)
+    assert ledger == served_one_by_one(Network(NetParams(8, 0.5)), tr)
+    assert (ledger.hops[3], ledger.adjust[3], ledger.coord[3], ledger.reset[3]) != (1, 0, 0, 0)
+
+
+def count_serves(monkeypatch):
+    calls = []
+    serve = Network.serve_request
+
+    def spy(self, u, v):
+        calls.append((u, v))
+        return serve(self, u, v)
+
+    monkeypatch.setattr(Network, "serve_request", spy)
+    return calls
+
+
+@pytest.mark.parametrize("spec, c, debug, bulk", [
+    (Torus(64, 3000), 1.0, False, True),      # idle repeats, and resets
+    (Torus(256, 4000), 4.0, False, True),
+    (StarZipf(64, 3000, 1.0), 4.0, False, False),  # every request has the hub at one end
+    (Torus(64, 3000), 1.0, True, False),      # debug checks serve every request
+])
+def test_replay_serves_idle_requests_in_bulk_only_where_the_rule_holds(monkeypatch, spec, c, debug, bulk):
+    tr = generate(spec, seed=4)
+    calls = count_serves(monkeypatch)
+    net = Network(NetParams(tr.n, c))
+    net.debug_checks = debug
+    ledger = replay_trace(net, tr)
+    assert (len(calls) < len(tr)) == bulk
+    assert len(calls) <= len(tr)
+    skipped = len(tr) - len(calls)
+    assert sum(1 for row in zip(ledger.hops, ledger.adjust, ledger.coord, ledger.reset) if row == (1, 0, 0, 0)) >= skipped
+    if c == 1.0:
+        assert net.reset_count > 0
+
+
+def test_replay_serves_every_request_on_a_network_resumed_mid_trace(monkeypatch):
+    tr = generate(Torus(64, 4000), seed=6)
+    half = len(tr) // 2
+    whole = Network(NetParams(64, 1.0))
+    ledger = replay_trace(whole, tr)
+    net = Network(NetParams(64, 1.0))
+    head = replay_trace(net, Trace(tr.n, tr.src[:half], tr.dst[:half]))
+    resumed = Network.from_snapshot(json.loads(json.dumps(net.snapshot())))
+    assert resumed.total_ws > 0
+    calls = count_serves(monkeypatch)
+    tail = replay_trace(resumed, Trace(tr.n, tr.src[half:], tr.dst[half:]))
+    assert len(calls) == len(tr) - half
+    assert whole.reset_count > net.reset_count > 0  # resets on both sides of the cut
+    for field in ("hops", "adjust", "coord", "reset"):
+        assert getattr(head, field) + getattr(tail, field) == getattr(ledger, field)
+    assert resumed.snapshot() == whole.snapshot()
+    assert whole.path_failures == net.path_failures + resumed.path_failures == 0

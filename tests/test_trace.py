@@ -111,6 +111,39 @@ def test_one_pair_sort_per_trace(monkeypatch):
     assert sorts == [len(tr)]
 
 
+@seed(20261)
+@given(traces_with_ranges())
+@settings(max_examples=100, deadline=None)
+def test_prev_occurrence_links_each_request_to_its_pairs_last_one(drawn):
+    trace, _ = drawn
+    last = {}
+    want = []
+    for i, pair in enumerate(requests(trace)):
+        want.append(last.get(pair, -1))
+        last[pair] = i
+    assert trace.prev_occurrence.dtype == np.int32
+    assert trace.prev_occurrence.tolist() == want
+
+
+def test_one_previous_occurrence_sort_per_trace(monkeypatch):
+    # the stable argsorts are the previous-occurrence sorts; made on first use only
+    sorts = []
+    argsort = np.argsort
+
+    def counting_argsort(a, *args, **kwargs):
+        if kwargs.get("kind") == "stable":
+            sorts.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    tr = generate(Torus(64, 2000), seed=1)
+    assert sorts == []
+    for _ in range(2):
+        sparsity_check(tr, SparsityParams(1.0, 500))
+        tr.prev_occurrence
+    assert sorts == [len(tr)]
+
+
 # -- sparsity -----------------------------------------------------------------
 
 
