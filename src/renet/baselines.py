@@ -11,20 +11,22 @@ fixed [vertex, 4] neighbour array, and which reads only the bits of the
 asked pairs at each level.
 
 The static baseline knows the whole trace in advance: it classifies nodes
-with the same working-set threshold, wires small-small pairs directly, gives
-every large node a fixed weight-bisected tree over its partners (weighted by
-symmetrized pair frequencies), and relays large-large pairs through helpers
-picked by the adaptive network's own selector (`Network.find_helper`).
+with the same working-set threshold, read against each node's partner count
+in `Trace.partners` as the replay's idle-request rule reads it, wires
+small-small pairs directly, gives every large node a fixed weight-bisected
+tree over its partners (weighted by symmetrized pair frequencies), and
+relays large-large pairs through helpers picked by the adaptive network's
+own selector (`Network.find_helper`).
 Each tree is kept only as its keys' depths; its links count toward the
 degree cap and are not stored.  Replay over it incurs zero adjustment cost.
 Its lower bound is the same `demand_entropy` that window reports use, over
 the whole trace.
 
 All three price the trace's distinct pairs, read from its cached
-`Trace.pair_table`.  The static network is classified, wired and priced on
-those arrays; Python loops run over the large nodes' partners and the pairs
-routed through trees, and the helper selector's node tables are filled only
-when some pair joins two large nodes.
+`Trace.pair_table` and `Trace.links`.  The static network is classified,
+wired and priced on those arrays; Python loops run over the large nodes'
+partners and the pairs routed through trees, and the helper selector's node
+tables are filled only when some pair joins two large nodes.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ class StaticDan:
 
     params: NetParams
     large: set
-    direct: np.ndarray    # sorted codes a * n + b (a < b) of the small-small links
+    direct: np.ndarray    # the small-small links, as sorted `Trace.links` codes
     depths: dict          # large node -> {key: depth in its fixed tree}
     helpers: dict         # (a, b) with a < b -> helper node
 
@@ -172,14 +174,14 @@ def build_static_dan(trace: Trace, params: NetParams) -> StaticDan:
             "the full trace is not sparse enough for a degree-bounded build"
         )
     n, m = params.n, len(trace)
-    # each linked pair once, as code a * n + b with a < b, weighted by its
-    # symmetrized frequency count(a, b) / m + count(b, a) / m in that order
-    links, at = np.unique(np.minimum(src, dst) * np.int64(n) + np.maximum(src, dst), return_inverse=True)
-    a, b = np.divmod(links, n)
+    # each linked pair once, weighted by its symmetrized frequency
+    # count(a, b) / m + count(b, a) / m in that order
+    links, at = trace.links
+    a, b = np.divmod(links, trace.n)
     sym = np.zeros((2, len(links)))
     sym[(src > dst).astype(np.intp), at] = count / m
     sym = sym[0] + sym[1]
-    is_large = np.bincount(a, minlength=n) + np.bincount(b, minlength=n) > params.theta
+    is_large = trace.partners > params.theta
     large = set(np.flatnonzero(is_large).tolist())
     small_pair = ~is_large[a] & ~is_large[b]
     direct = links[small_pair]
@@ -242,12 +244,12 @@ def stat_cost(dan: StaticDan, trace: Trace) -> float:
     to its partner's seat in each tree it crosses, plus the seat's depth."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    n = dan.params.n
     src, dst, count = trace.pair_table
-    is_large = np.zeros(n, dtype=bool)
+    is_large = np.zeros(dan.params.n, dtype=bool)
     is_large[list(dan.large)] = True
     direct = ~is_large[src] & ~is_large[dst]
-    codes = np.minimum(src, dst)[direct] * np.int64(n) + np.maximum(src, dst)[direct]
+    links, at = trace.links
+    codes = links[at[direct]]
     unlinked = np.flatnonzero(~np.isin(codes, dan.direct))
     if len(unlinked):
         u, v = int(src[direct][unlinked[0]]), int(dst[direct][unlinked[0]])

@@ -43,12 +43,11 @@ the whole trace and its (src, dst) pair occurred earlier in the trace, at or
 after the last reset.  Neither end can ever turn large, since W holds only
 partners seen since the last reset, and a small node's working-set partners
 are wired (both sweeps check this invariant), so the request is one direct
-hop with row (1, 0, 0, 0) that changes no state.  `replay_trace` uses the
-rule only on a network whose working sets start empty (total_ws == 0) and
-without debug checks: it fills the idle rows in bulk and serves the other
-requests in order through `serve_request`, the one request path.  A network
-resumed from a snapshot or debug-checked, or a trace with no idle request,
-has every request served.
+hop with row (1, 0, 0, 0) that changes no state.  `replay_trace` fills
+every row as idle and serves the other requests in order through
+`serve_request`, the one request path.  It uses the rule only on a network
+whose working sets start empty (total_ws == 0) and without debug checks; on
+any other network it lists every request, as it does on a dense trace.
 
 Cost accounting, fixed here and reported as-is: a route addition costs 2D of
 control traffic (notify + instruct) plus D per helper engaged; a conversion
@@ -699,55 +698,27 @@ def _check_snapshot_ids(snap: dict, n: int) -> None:
 REPLAY_SLICE = 4096
 
 
-def _idle_since(trace: Trace, theta: int) -> Optional[np.ndarray]:
-    """For each request, the index of the previous request of its pair when
-    both of its ends have at most θ distinct partners in the whole trace,
-    else -1; None when no request has such a previous occurrence."""
-    n = trace.n
-    src, dst, count = trace.pair_table
-    repeated = count > 1
-    # a node's distinct sources or destinations alone bound its partners from
-    # below: a cheap first test, which every pair of a dense trace fails
-    few = np.maximum(np.bincount(src, minlength=n), np.bincount(dst, minlength=n)) <= theta
-    if (few[src] & few[dst] & repeated).any():
-        linked = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))  # each pair once, either way
-        few = np.bincount(np.concatenate(np.divmod(linked, n)), minlength=n) <= theta
-    repeats = few[src] & few[dst] & repeated
-    if not repeats.any():
-        return None
-    return np.where(repeats[trace.pair_index], trace.prev_occurrence, -1)
-
-
 def replay_trace(net: Network, trace: Trace) -> CostLedger:
     """Serve a whole trace in order, collecting the per-request cost ledger.
 
-    On a network with empty working sets and no debug checks, the idle
-    requests (see the module docstring) get their row `(1, 0, 0, 0)` in bulk
-    and only the others go through `serve_request`; otherwise, or when the
-    trace has no idle request, every request does."""
+    Every row starts idle, `(1, 0, 0, 0)`; the requests that are not idle by
+    the rule of the module docstring go through `serve_request` in order.  On
+    a network whose working sets do not start empty, or with debug checks on,
+    the rule may not hold, and every request is served."""
     src, dst = trace.src, trace.dst
     serve = net.serve_request
-    since = None
-    if net.total_ws == 0 and not net.debug_checks:
-        since = _idle_since(trace, net.params.theta)
-    if since is None:
-        ledger = CostLedger()
-        add_hops, add_adjust = ledger.hops.append, ledger.adjust.append
-        add_coord, add_reset = ledger.coord.append, ledger.reset.append
-        # slices keep only REPLAY_SLICE requests as Python ints alive at a time
-        for start in range(0, len(trace), REPLAY_SLICE):
-            stop = start + REPLAY_SLICE
-            for u, v in zip(src[start:stop].tolist(), dst[start:stop].tolist()):
-                hops, adjust, coord, reset = serve(u, v)
-                add_hops(hops)
-                add_adjust(adjust)
-                add_coord(coord)
-                add_reset(reset)
-        return ledger
     m = len(trace)
-    ledger = CostLedger([1] * m, [0] * m, [0] * m, [0] * m)  # every row idle until served
+    # each request's previous request of its pair when neither end can turn
+    # large, else -1; all -1 where the rule may not hold
+    few = trace.partners <= net.params.theta
+    if net.total_ws or net.debug_checks:
+        few[:] = False
+    rows = trace.pair_table
+    since = np.where((few[rows.src] & few[rows.dst])[trace.pair_index], trace.prev_occurrence, -1)
+    ledger = CostLedger([1] * m, [0] * m, [0] * m, [0] * m)
     hops, adjust, coord, reset = ledger.hops, ledger.adjust, ledger.coord, ledger.reset
     last_reset = 0  # the request that last reset the network; the start counts as one
+    # slices keep only REPLAY_SLICE requests as Python ints alive at a time;
     # a reset re-lists only the rest of its slice
     for pos in range(0, m, REPLAY_SLICE):
         stop = min(pos + REPLAY_SLICE, m)
@@ -755,8 +726,9 @@ def replay_trace(net: Network, trace: Trace) -> CostLedger:
             busy = np.flatnonzero(since[pos:stop] < last_reset) + pos
             pos = stop
             for i, u, v in zip(busy.tolist(), src[busy].tolist(), dst[busy].tolist()):
-                hops[i], adjust[i], coord[i], reset[i] = serve(u, v)
-                if reset[i]:  # pairs seen before request i are no longer wired
+                hops[i], adjust[i], coord[i], reset_cost = serve(u, v)
+                if reset_cost:  # pairs seen before request i are no longer wired
+                    reset[i] = reset_cost
                     last_reset, pos = i, i + 1
                     break
     return ledger

@@ -9,7 +9,10 @@ with their counts, and `Trace.pair_index` each request's row in that table.
 Every pair count in the package (sparsity, entropy, baselines) reads these.
 `Trace.prev_occurrence`, made from `pair_index` on first use, links each
 request to the previous request of its pair; the sparsity check and the
-replay's idle-request rule read it.
+replay's idle-request rule read it.  `Trace.links` lists each linked pair
+once, whichever way it was requested, and `Trace.partners` counts each
+node's linked pairs; the idle-request rule and the static baseline read
+both.  Both pair codes, directed and undirected, are made here once.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ class Trace:
 
     @cached_property
     def _pairs(self) -> tuple[PairTable, np.ndarray]:
-        # the only place a pair is encoded, as src * n + dst: one sort per trace
+        # the directed pair code src * n + dst, made here only: one sort per trace
         codes, index, count = np.unique(self.src * np.int64(self.n) + self.dst, return_inverse=True, return_counts=True)
         return PairTable(*np.divmod(codes, self.n), count), index.astype(np.min_scalar_type(len(codes)))
 
@@ -92,6 +95,19 @@ class Trace:
         prev = np.full(len(rows), -1, dtype=np.int32 if len(rows) < 2**31 else np.int64)
         prev[order[1:][again]] = order[:-1][again]
         return prev
+
+    @cached_property
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each linked pair once, as ascending codes min(a, b) * n + max(a, b),
+        and each `pair_table` row's index into them; one sort of the rows."""
+        src, dst, _ = self.pair_table
+        return np.unique(np.minimum(src, dst) * np.int64(self.n) + np.maximum(src, dst), return_inverse=True)
+
+    @cached_property
+    def partners(self) -> np.ndarray:
+        """Each node's distinct partners over the whole trace, in either
+        direction: its number of linked pairs."""
+        return np.bincount(np.concatenate(np.divmod(self.links[0], self.n)), minlength=self.n)
 
     def pairs_in(self, start: int = 0, stop: int | None = None) -> PairTable:
         """The pair table of requests [start, stop), counted off `pair_index`."""

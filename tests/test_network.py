@@ -638,10 +638,10 @@ def drop_second_entry(route):
     return faulty
 
 
-def assert_hop_fault_caught(net, u, v, debug):
+def assert_hop_fault_caught(net, u, v, debug, message):
     net.debug_checks = debug
     if debug:
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match=message):
             net.serve_request(u, v)
     else:
         net.serve_request(u, v)
@@ -655,7 +655,7 @@ def test_hop_check_catches_route_down_skipping_a_level(monkeypatch, debug):
     assert tree.depth(3) >= 2
     route_down = EgoTree.route_down
     monkeypatch.setattr(EgoTree, "route_down", lambda self, key: drop_second_entry(route_down(self, key)))
-    assert_hop_fault_caught(net, 0, 3, debug)
+    assert_hop_fault_caught(net, 0, 3, debug, r"^hop \d+-\d+ crosses no link of tree\(0\)$")
 
 
 @pytest.mark.parametrize("debug", [False, True])
@@ -665,7 +665,7 @@ def test_hop_check_catches_route_up_skipping_a_level(monkeypatch, debug):
     assert tree.depth(3) >= 2
     route_up = EgoTree.route_up
     monkeypatch.setattr(EgoTree, "route_up", lambda self, key: drop_second_entry(route_up(self, key)))
-    assert_hop_fault_caught(net, 3, 0, debug)
+    assert_hop_fault_caught(net, 3, 0, debug, r"^hop \d+-\d+ crosses no link of tree\(0\)$")
 
 
 @pytest.mark.parametrize("debug", [False, True])
@@ -683,7 +683,32 @@ def test_hop_check_catches_helper_relay_skipping_the_walk_up(monkeypatch, debug)
         walk_up(self, start, from_key, tree_owner)
 
     monkeypatch.setattr(Network, "_walk_up", relay_skips_walk_up)
-    assert_hop_fault_caught(net, 0, 1, debug)
+    helper = net.nodes[0].tree.occupant_of(1)
+    assert_hop_fault_caught(net, 0, 1, debug, rf"^packet for 1 stopped at {helper}$")
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_hop_check_catches_a_one_sided_direct_link(debug):
+    net = fresh(16, 1)
+    net.serve_request(0, 1)
+    net.nodes[1].S.discard(0)  # 1 forgot the link that 0 still routes over
+    assert_hop_fault_caught(net, 0, 1, debug, r"^hop 0-1 crosses no physical edge$")
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_hop_check_catches_a_walk_up_from_a_seat_held_by_another_node(debug):
+    net = fresh(32, 0.5, virtual_root_capacity=0)
+    tree = grow_large(net, 0, (3, 4, 5))
+    tree.replace_occupant(3, 9)  # 3 is still listed in tree(0), but 9 sits at its key
+    assert_hop_fault_caught(net, 3, 0, debug, r"^node 3 does not sit at key 3 of tree\(0\)$")
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_delivery_check_catches_a_packet_stopped_short(monkeypatch, debug):
+    net = fresh(16, 1)
+    net.serve_request(0, 1)
+    monkeypatch.setattr(Network, "_route", lambda self, u, v, attempt: None)  # the packet never leaves u
+    assert_hop_fault_caught(net, 0, 1, debug, r"^packet for 1 stopped at 0$")
 
 
 def test_snapshot_roundtrip_after_workout():
@@ -835,18 +860,23 @@ def test_replay_trace_matches_the_ledger_append_path():
     # 5120 requests cross a replay slice; the trace fires 36 resets
     tr = generate(product_zipf(256, 5120), seed=3)
     replayed = replay_trace(Network(NetParams(256, 0.5)), tr)
-    net = Network(NetParams(256, 0.5))
-    appended = CostLedger()
-    for u, v in zip(tr.src.tolist(), tr.dst.tolist()):
-        appended.append(*net.serve_request(u, v))
+    appended = served_one_by_one(Network(NetParams(256, 0.5)), tr)
     assert sum(1 for r in appended.reset if r) == 36
     for column in ("hops", "adjust", "coord", "reset"):
         assert getattr(replayed, column) == getattr(appended, column)
 
 
+def test_replay_of_an_empty_trace_is_an_empty_ledger(monkeypatch):
+    calls = count_serves(monkeypatch)
+    ledger = replay_trace(Network(NetParams(16, 1)), Trace(16, [], []))
+    assert ledger == CostLedger()
+    assert calls == []
+
+
 def test_reused_request_context_leaks_no_state():
-    # a network serves every unchecked request in one context; rejected
-    # requests and a stretch of debug-checked ones must leave no trace in it
+    # a network holds the request it serves in its own fields, the packet's
+    # position and the row's counters; rejected requests and a stretch of
+    # debug-checked ones must leave nothing in them for the next request
     tr = generate(product_zipf(64, 640), seed=3)
     pairs = list(zip(tr.src.tolist(), tr.dst.tolist()))
     clean = Network(NetParams(64, 0.5))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from renet.baselines import build_static_dan
+from renet.cli import ExperimentConfig, build_trace, make_params
 from renet.entropy import demand_entropy, entropy, normalized, windowed_entropy_report
 from renet.trace import (
     ProductDist,
@@ -142,6 +144,36 @@ def test_one_previous_occurrence_sort_per_trace(monkeypatch):
         sparsity_check(tr, SparsityParams(1.0, 500))
         tr.prev_occurrence
     assert sorts == [len(tr)]
+
+
+@seed(20262)
+@given(traces_with_ranges())
+@example((Trace(6, [0, 1, 2, 0], [1, 0, 3, 1]), []))  # (0, 1) both ways counts once; 4 and 5 isolated
+@example((Trace(5, [], []), []))
+@settings(max_examples=100, deadline=None)
+def test_links_and_partners_match_a_dict_of_sets_loop(drawn):
+    trace, _ = drawn
+    neighbours = {x: set() for x in range(trace.n)}
+    for a, b in requests(trace):
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    linked = sorted({(min(a, b), max(a, b)) for a, b in requests(trace)})
+    codes, at = trace.links
+    assert [divmod(code, trace.n) for code in codes.tolist()] == linked
+    src, dst, _ = trace.pair_table
+    assert [linked[k] for k in at.tolist()] == [(min(a, b), max(a, b)) for a, b in zip(src.tolist(), dst.tolist())]
+    assert trace.partners.tolist() == [len(neighbours[x]) for x in range(trace.n)]
+
+
+@pytest.mark.parametrize("workload, m, c, alpha", [("star", 2000, 2.0, 1.0), ("product", 200, 1.0, 2.0)],
+                         ids=["star", "product-relayed"])
+def test_static_baseline_reads_large_nodes_off_the_partner_count(workload, m, c, alpha):
+    # the golden configs with a large hub, and with relayed large-large pairs
+    cfg = ExperimentConfig(workload=workload, n=64, m=m, alpha=alpha, c=c, seed=1)
+    trace = build_trace(cfg, cfg.seed)
+    params = make_params(cfg, trace.n)
+    large = build_static_dan(trace, params).large
+    assert large and large == set(np.flatnonzero(trace.partners > params.theta).tolist())
 
 
 # -- sparsity -----------------------------------------------------------------
