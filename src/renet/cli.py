@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,10 +36,9 @@ from .baselines import (
     stat_cost,
     static_lower_bound,
 )
-from .ego_tree import edge_key
 from .entropy import windowed_entropy_report, write_entropy_csv
 from .metrics import average_cost, rho_estimate, window_report, write_ledger_csv, write_windows_csv
-from .network import HelperExhaustion, NetParams, Network, replay_trace
+from .network import HelperExhaustion, NetParams, Network, replay_trace, snapshot_faults
 from .trace import (
     ProductDist,
     RoundRobinGrids,
@@ -300,18 +298,10 @@ def cmd_validate(snapshot_path: str) -> int:
         with open(snapshot_path) as fh:
             snap = json.load(fh)
         net = Network.from_snapshot(snap)
-        listed: Counter = Counter()
-        for a, b, cnt in snap["edges"]:
-            listed[edge_key(a, b)] += cnt
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"cannot load snapshot: {exc}", file=sys.stderr)
         return 2
-    derived = net.edges
-    violations = net.validate_invariants(derived)
-    # the structure is the only record of the links; the listed edges must match it
-    differ = sorted(k for k in listed.keys() | derived.keys() if listed[k] != derived[k])
-    if differ:
-        violations.append(f"snapshot edge list differs from the structure on {differ[:8]}")
+    violations = snapshot_faults(net, snap)
     if violations:
         for line in violations:
             print(f"violation: {line}")

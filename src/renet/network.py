@@ -31,9 +31,10 @@ other record.
 
 The network serves one request at a time and holds it while it does: the
 packet's position and the row's four counters, zeroed per request, and for
-a debug-checked request also the start degrees and the nodes and trees the
-request touched, which the sweep after it re-checks.  A tree's over-cap
-nodes are read, and shed, only after an operation that reported one.
+a debug-checked request the nodes whose tables or trees it touched: the
+sweep after it checks every per-node rule on them (on every node after a
+reset) and the degree cap on every node.  A tree's over-cap nodes are read,
+and shed, only after an operation that reported one.
 
 Helpers are picked from an index of small nodes bucketed by helper load,
 rebuilt lazily after each reset (see `find_helper`).
@@ -60,8 +61,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from heapq import heappop, heappush
-from itertools import compress, count
-from operator import ne
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Optional
 
@@ -146,10 +145,8 @@ class Network:
         # the request being served: the node holding the packet and the row's counters
         self._at = 0
         self._hops = self._adjust = self._coord = self._reset_cost = 0
-        # for the debug sweep only: start degrees, changed tables and trees
-        self._degree_before: list[int] = []
+        # for the debug sweep only: nodes whose tables or trees changed
         self._touched_nodes: set[int] = set()
-        self._touched_trees: set[int] = set()
 
     # -- tree operations and the degree cap ----------------------------------
 
@@ -160,7 +157,7 @@ class Network:
         if tree._over:
             self._shed_virtual_roots(tree.take_edge_changes())
         if self.debug_checks:
-            self._touched_trees.add(tree.owner)
+            self._touched_nodes.add(tree.owner)
 
     def _shed_virtual_roots(self, nodes: Iterable[int]) -> None:
         # Virtual-root links are the only unbudgeted ports; drop memberships
@@ -179,7 +176,7 @@ class Network:
                 tree, key = victim
                 self._adjust += tree.evict_virtual_root(key)
                 if self.debug_checks:
-                    self._touched_trees.add(tree.owner)
+                    self._touched_nodes.add(tree.owner)
 
     def _new_tree(self, owner: int) -> EgoTree:
         p = self.params
@@ -199,9 +196,7 @@ class Network:
         self._at = u
         self._hops = self._adjust = self._coord = self._reset_cost = 0
         if self.debug_checks:
-            self._degree_before = self.degree[:]
             self._touched_nodes = set()
-            self._touched_trees = set()
         self._route(u, v, 0)
         if self._at != v:
             self._path_failed(f"packet for {v} stopped at {self._at}")
@@ -488,95 +483,86 @@ class Network:
                 edges.update(s.tree.edges())
         return edges
 
-    def _check_node(self, x: int, degree: int, bad: list[str]) -> None:
-        """The per-node rules: degree cap, size class against |W|, and for a
-        small node the table budget, helper load and a wired link to each
-        working-set partner (direct to a small one, a membership in a large
-        one's tree)."""
+    def _seated(self, x: int, owner: int, key: int) -> bool:
+        """Node x occupies `key` in the tree of the large node `owner`."""
+        s = self.nodes[owner]
+        return s.large and s.tree is not None and key in s.tree and s.tree.occupant_of(key) == x
+
+    def _check_node(self, x: int, bad: list[str]) -> None:
+        """Every rule on one node's own state: W symmetric, without x and
+        sized by the size class; a large node with no small table and a
+        sound tree keyed by W; a small node with no tree, within its table
+        budget and helper load, its direct links two-sided, its memberships
+        and duties seated, and each working-set partner wired."""
         p = self.params
-        s = self.nodes[x]
-        if degree > p.delta_cap:
-            bad.append(f"degree({x}) = {degree} > {p.delta_cap}")
+        nodes = self.nodes
+        s = nodes[x]
+        if x in s.working:
+            bad.append(f"node {x} has itself in its working set")
+        bad += [f"working-set asymmetry {x} -> {v}" for v in s.working if v != x and x not in nodes[v].working]
         if s.large:
             if len(s.working) <= p.theta:
                 bad.append(f"node {x} large with |W| = {len(s.working)}")
-        else:
-            if len(s.working) > p.theta:
-                bad.append(f"node {x} small with |W| = {len(s.working)}")
-            ports = s.table_ports()
-            if ports > p.delta_cap:
-                bad.append(f"table({x}) = {ports} ports > {p.delta_cap}")
-            if len(s.helping) > 2 * p.c:
-                bad.append(f"helper load({x}) = {len(s.helping)} > 2c = {2 * p.c}")
-            for v in s.working:
-                if v not in (s.trees_in if self.nodes[v].large else s.S):
-                    bad.append(f"working-set partner {v} of node {x} is not wired")
+            if s.S or s.trees_in or s.helping:
+                bad.append(f"node {x} large with small-table leftovers")
+            if s.tree is None:
+                bad.append(f"node {x} large without a tree")
+            else:
+                bad.extend(s.tree.check_structure())  # this also matches the walk to the key index
+                if s.tree._by_key.keys() != s.working:
+                    bad.append(f"tree({x}) keys differ from the working set")
+            return
+        if len(s.working) > p.theta:
+            bad.append(f"node {x} small with |W| = {len(s.working)}")
+        if s.tree is not None:
+            bad.append(f"node {x} small but owns a tree")
+        ports = s.table_ports()
+        if ports > p.delta_cap:
+            bad.append(f"table({x}) = {ports} ports > {p.delta_cap}")
+        if len(s.helping) > 2 * p.c:
+            bad.append(f"helper load({x}) = {len(s.helping)} > 2c = {2 * p.c}")
+        for v in s.working:
+            if v not in (s.trees_in if nodes[v].large else s.S):
+                bad.append(f"working-set partner {v} of node {x} is not wired")
+        for v in s.S:
+            if nodes[v].large or x not in nodes[v].S:
+                bad.append(f"direct link {x}-{v} is one-sided or to a large node")
+        for w in s.trees_in:
+            if not self._seated(x, w, x):
+                bad.append(f"membership of {x} in tree({w}) is broken")
+        for (a, b) in s.helping:
+            if not (a < b and self._seated(x, a, b) and self._seated(x, b, a)):
+                bad.append(f"helper duty ({a}, {b}) of node {x} is inconsistent")
 
-    def _debug_sweep(self) -> None:
+    def _sweep(self, nodes: Iterable[int], degree: list[int], total_ws: int) -> list[str]:
+        """The per-node rules on `nodes`, the cap on all of `degree`, the working-set total."""
         p = self.params
         bad: list[str] = []
-        # without a tree operation only touched nodes' links changed
-        changed = compress(count(), map(ne, self._degree_before, self.degree)) if self._touched_trees else ()
-        for x in sorted(self._touched_nodes.union(changed)):
-            self._check_node(x, self.degree[x], bad)
-        for w in sorted(self._touched_trees):
-            s = self.nodes[w]
-            if s.large and s.tree is not None:
-                bad.extend(s.tree.check_structure())
-        if self.total_ws > p.reset_threshold:
-            bad.append(f"total working-set size {self.total_ws} > {p.reset_threshold}")
+        for x in nodes:
+            self._check_node(x, bad)
+        if max(degree) > p.delta_cap:  # one scan; the nodes are listed only when it fires
+            bad += [f"degree({x}) = {d} > {p.delta_cap}" for x, d in enumerate(degree) if d > p.delta_cap]
+        if total_ws > p.reset_threshold:
+            bad.append(f"total working-set size {total_ws} > {p.reset_threshold}")
+        return bad
+
+    def _debug_sweep(self) -> None:
+        # a reset rewrote every node's tables, so every node is checked
+        nodes = range(self.params.n) if self._reset_cost else sorted(self._touched_nodes)
+        bad = self._sweep(nodes, self.degree, self.total_ws)
         if bad:
             raise InvariantError("; ".join(bad))
 
     def validate_invariants(self, edges: Optional[Counter] = None) -> list[str]:
-        """Full sweep of every structural invariant; empty list means healthy.
-        `edges` is `self.edges` when the caller already built it."""
-        p = self.params
-        bad: list[str] = []
-        total_ws = 0
-        degree = degrees(self.edges if edges is None else edges, p.n)
-
-        def seated(x: int, owner: int, key: int) -> bool:
-            """Node x occupies `key` in the tree of the large node `owner`."""
-            t = self.nodes[owner].tree
-            return self.nodes[owner].large and t is not None and key in t and t.occupant_of(key) == x
-
-        for x in range(p.n):
-            s = self.nodes[x]
-            self._check_node(x, degree[x], bad)
-            if degree[x] != self.degree[x]:
-                bad.append(f"degree cache of node {x}: {self.degree[x]} != {degree[x]}")
-            total_ws += len(s.working)
-            for v in s.working:
-                if v == x:
-                    bad.append(f"node {x} has itself in its working set")
-                elif x not in self.nodes[v].working:
-                    bad.append(f"working-set asymmetry {x} -> {v}")
-            if s.large:
-                if s.S or s.trees_in or s.helping:
-                    bad.append(f"node {x} large with small-table leftovers")
-                if s.tree is None:
-                    bad.append(f"node {x} large without a tree")
-                    continue
-                bad.extend(s.tree.check_structure())
-                if set(s.tree.keys_inorder()) != s.working:
-                    bad.append(f"tree({x}) keys differ from the working set")
-            else:
-                if s.tree is not None:
-                    bad.append(f"node {x} small but owns a tree")
-                for v in s.S:
-                    if self.nodes[v].large or x not in self.nodes[v].S:
-                        bad.append(f"direct link {x}-{v} is one-sided or to a large node")
-                for w in s.trees_in:
-                    if not seated(x, w, x):
-                        bad.append(f"membership of {x} in tree({w}) is broken")
-                for (a, b) in s.helping:
-                    if not (a < b and seated(x, a, b) and seated(x, b, a)):
-                        bad.append(f"helper duty ({a}, {b}) of node {x} is inconsistent")
+        """Full sweep: every rule on every node, plus two recounts, of the
+        degree cache against `edges` (`self.edges` unless the caller already
+        built it) and of the total_ws cache; empty list means healthy."""
+        degree = degrees(self.edges if edges is None else edges, self.params.n)
+        total_ws = sum(len(s.working) for s in self.nodes)
+        bad = self._sweep(range(self.params.n), degree, total_ws)
+        bad += [f"degree cache of node {x}: {c} != {d}" for x, (c, d) in enumerate(zip(self.degree, degree)) if c != d]
         if total_ws != self.total_ws:
             bad.append(f"total_ws cache {self.total_ws} != {total_ws}")
-        if total_ws > p.reset_threshold:
-            bad.append(f"total working-set size {total_ws} > {p.reset_threshold}")
         return bad
 
     # -- snapshots -----------------------------------------------------------
@@ -682,17 +668,38 @@ def degrees(edges: Counter, n: int) -> list[int]:
 
 
 def _check_snapshot_ids(snap: dict, n: int) -> None:
-    """Reject node ids outside [0, n): a large one would index past the node
-    tables, and a negative one would alias a node counted from the end."""
+    """Reject a helper duty that is not a pair, an edge row that is not [a, b,
+    count], and a node id that is not an int in [0, n): a large one would index
+    past the node tables, and a negative one alias a node counted from the end."""
     named = list(snap["size_classes"]["large"]) + [int(owner) for owner in snap["trees"]]
     for rec in snap["nodes"]:
+        if any(len(pair) != 2 for pair in rec["helping"]):
+            raise ValueError(f"a helper duty of node {rec['id']} is not a pair")
         named += [rec["id"], *rec["working"], *rec["S"], *rec["trees_in"], *(x for pair in rec["helping"] for x in pair)]
     for tdata in snap["trees"].values():
         named += [x for rec in tdata["entries"] for x in (rec["key"], rec["occupant"])] + list(tdata["vr"])
+    if any(len(row) != 3 or type(row[2]) is not int for row in snap["edges"]):
+        raise ValueError("an edge row is not [a, b, count]")
     named += [x for a, b, _ in snap["edges"] for x in (a, b)]
-    bad = [x for x in named if not 0 <= x < n]
+    bad = [x for x in named if type(x) is not int or not 0 <= x < n]  # a bool or a float is no id
     if bad:
-        raise ValueError(f"node id {bad[0]} outside [0, {n})")
+        what = f"outside [0, {n})" if type(bad[0]) is int else "is not an integer"
+        raise ValueError(f"node id {bad[0]!r} {what}")
+
+
+def snapshot_faults(net: Network, snap: dict) -> list[str]:
+    """Every invariant violation of `net`, loaded from `snap`, plus any
+    difference between the snapshot's listed edges and the multiset derived
+    from its structure, which is the only record of the links."""
+    derived = net.edges
+    bad = net.validate_invariants(derived)
+    listed: Counter = Counter()
+    for a, b, cnt in snap["edges"]:
+        listed[edge_key(a, b)] += cnt
+    differ = sorted(k for k in listed.keys() | derived.keys() if listed[k] != derived[k])
+    if differ:
+        bad.append(f"snapshot edge list differs from the structure on {differ[:8]}")
+    return bad
 
 
 REPLAY_SLICE = 4096

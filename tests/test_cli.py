@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -313,6 +314,26 @@ def test_validate_rejects_out_of_range_node_ids(tmp_path, capsys, corrupt):
     assert run_cli("validate", str(bad_path)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("cannot load snapshot:") and "outside [0, 16)" in err[0]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda snap: snap["nodes"][3]["working"].append(1.5), r"node id 1\.5 is not an integer"),
+    (lambda snap: snap["nodes"][3]["S"].append(True), "node id True is not an integer"),
+    (lambda snap: snap["nodes"][3]["helping"].append([1, 2, 3]), r"a helper duty of node \d+ is not a pair"),
+    (lambda snap: snap["edges"][0].pop(), r"an edge row is not \[a, b, count\]"),
+], ids=["float-in-working", "bool-in-S", "duty-of-three", "edge-row-of-two"])
+def test_validate_rejects_malformed_snapshot_entries(tmp_path, capsys, corrupt, message):
+    # each once ended in a traceback from validate_invariants or the edge comparison
+    out = tmp_path / "out"
+    assert run_cli("run", "--workload", "star", "--n", "16", "--m", "300", "--c", "1", "--out", str(out)) == 0
+    snap = json.loads((out / "snapshot.json").read_text())
+    corrupt(snap)
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(snap))
+    capsys.readouterr()
+    assert run_cli("validate", str(bad_path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.fullmatch(f"cannot load snapshot: {message}", err[0]), err
 
 
 @pytest.mark.parametrize("c", [float("inf"), float("nan")], ids=["inf", "nan"])

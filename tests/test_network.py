@@ -627,6 +627,105 @@ def test_validate_names_each_fault(fault):
     assert any(re.fullmatch(pattern, line) for line in bad), bad
 
 
+# -- the debug sweep's side of the fault table ---------------------------------------
+
+
+def first_member(net):
+    return member(net)[0]
+
+
+def first_helper(net):
+    return next(s.id for s in net.nodes if s.helping)
+
+
+def newcomer(net, x):
+    """A node other than x with an empty working set."""
+    return next(s.id for s in net.nodes if s.id != x and not s.working)
+
+
+# the rows left out: a recount, which only the full validation makes, and a
+# large node without a tree, on which the request path fails before the sweep runs
+SWEEP_FAULTS = [f for f in VALIDATION_FAULTS if f not in ("total_ws cache", "large node without a tree")]
+
+# the node each row corrupts, picked as the row picks it
+CORRUPTED_NODE = {
+    "working-set asymmetry": first_member,
+    "node in its own working set": first_member,
+    "large node with small-table leftovers": lambda net: large_ids(net)[0],
+    "tree keys differ from the working set": lambda net: large_ids(net)[0],
+    "small node owns a tree": first_member,
+    "broken membership": first_member,
+    "inconsistent helper duty": first_helper,
+    "unwired working-set partner": first_member,
+}
+
+
+def live_network_with_room():
+    """The live network once the small nodes the rows pick have room for one
+    more partner: a picked node with a full working set is turned large by a
+    request to a newcomer, so a route addition at the node picked next
+    converts nothing and keeps its corrupted table."""
+    net = live_product_network()
+    resets = net.reset_count
+    while full := [x for x in (first_member(net), first_helper(net)) if len(net.nodes[x].working) == net.params.theta]:
+        net.serve_request(full[0], newcomer(net, full[0]))
+    assert net.validate_invariants() == [] and net.reset_count == resets
+    return net
+
+
+@pytest.mark.parametrize("fault", SWEEP_FAULTS)
+def test_debug_sweep_names_each_fault(fault):
+    net = live_network_with_room()
+    x = CORRUPTED_NODE[fault](net)
+    s = net.nodes[x]
+    # a splay of x's tree, or a route addition at x
+    u, v = (x, min(s.tree.keys_inorder())) if s.large else (x, newcomer(net, x))
+    pattern = VALIDATION_FAULTS[fault](net)
+    net.debug_checks = True
+    with pytest.raises(InvariantError, match=pattern):
+        net.serve_request(u, v)
+
+
+def test_debug_sweep_catches_a_one_sided_direct_link():
+    net = fresh(8, 1)
+    net.serve_request(1, 2)
+    net.nodes[2].S.discard(1)
+    with pytest.raises(InvariantError, match=r"direct link 1-2 is one-sided or to a large node"):
+        net.serve_request(1, 3)  # a route addition at 1
+
+
+def test_debug_sweep_checks_every_node_after_a_reset(monkeypatch):
+    net = live_product_network()
+    clear = Network.reset
+
+    def keeps_duties(self):
+        # a faulty reset: helper duties outlive the trees they relay through
+        kept = [(s, set(s.helping)) for s in self.nodes]
+        cost = clear(self)
+        for s, duties in kept:
+            s.helping |= duties
+        return cost
+
+    monkeypatch.setattr(Network, "reset", keeps_duties)
+    net.debug_checks = True
+    resets = net.reset_count
+    # route additions between nodes with no table until one resets, so no helper is touched
+    bare = iter([s.id for s in net.nodes if not s.working and not s.helping])
+    with pytest.raises(InvariantError, match=r"helper duty \(\d+, \d+\) of node \d+ is inconsistent"):
+        while net.reset_count == resets:
+            net.serve_request(next(bare), next(bare))
+    assert net.reset_count == resets + 1
+
+
+def test_debug_sweep_scans_every_degree_for_the_cap():
+    net = fresh(8, 1)  # degree cap 24
+    net.serve_request(1, 2)
+    net.degree[5] = 25
+    # an idle direct hop: no table, tree or degree changes, and node 5 is not involved
+    with pytest.raises(InvariantError, match=r"^degree\(5\) = 25 > 24$"):
+        net.serve_request(1, 2)
+
+
 # -- hop validation, by fault injection ----------------------------------------------
 
 
