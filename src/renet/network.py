@@ -33,22 +33,20 @@ The network serves one request at a time and holds it while it does: the
 packet's position and the row's four counters, zeroed per request, and for
 a debug-checked request the nodes whose tables or trees it touched: the
 sweep after it checks every per-node rule on them (on every node after a
-reset) and the degree cap on every node.  A tree's over-cap nodes are read,
+reset) and every degree against [0, cap].  A tree's over-cap nodes are read,
 and shed, only after an operation that reported one.
 
 Helpers are picked from an index of small nodes bucketed by helper load,
 rebuilt lazily after each reset (see `find_helper`).
 
 A request is idle when both of its ends have at most θ distinct partners in
-the whole trace and its (src, dst) pair occurred earlier in the trace, at or
+the whole trace and its pair occurred earlier, in either direction, at or
 after the last reset.  Neither end can ever turn large, since W holds only
-partners seen since the last reset, and a small node's working-set partners
-are wired (both sweeps check this invariant), so the request is one direct
-hop with row (1, 0, 0, 0) that changes no state.  `replay_trace` fills
-every row as idle and serves the other requests in order through
-`serve_request`, the one request path.  It uses the rule only on a network
-whose working sets start empty (total_ws == 0) and without debug checks; on
-any other network it lists every request, as it does on a dense trace.
+partners seen since the last reset; W is symmetric and a small node's
+partners are wired by two-sided direct links (both sweeps check this), so
+the request is one direct hop with row (1, 0, 0, 0) that changes no state.
+`replay_trace` serves only the other requests, through `serve_request`, the
+one request path, and applies the rule only where it holds.
 
 Cost accounting, fixed here and reported as-is: a route addition costs 2D of
 control traffic (notify + instruct) plus D per helper engaged; a conversion
@@ -315,10 +313,13 @@ class Network:
         if self.debug_checks:
             self._touched_nodes.update((u, v))
         # a conversion re-wires every partner in W, this one included
-        converts = [x for x, s in ((u, su), (v, sv)) if not s.large and len(s.working) == p.theta + 1]
-        for x in converts:
-            self._make_large(x, no_splay_tree)
-        if not converts:
+        u_converts = not su.large and len(su.working) == p.theta + 1
+        v_converts = not sv.large and len(sv.working) == p.theta + 1
+        if u_converts:
+            self._make_large(u, no_splay_tree)
+        if v_converts:
+            self._make_large(v, no_splay_tree)
+        if not (u_converts or v_converts):
             self._link_pair(u, v, no_splay_tree)
 
     def _link_pair(self, u: int, v: int, no_splay_tree: Optional[int]) -> None:
@@ -332,7 +333,8 @@ class Network:
             self.degree[u] += 1
             self.degree[v] += 1
             self._adjust += 1
-            self._shed_virtual_roots((u, v))
+            if self.degree[u] > self.params.delta_cap or self.degree[v] > self.params.delta_cap:
+                self._shed_virtual_roots((u, v))
         elif not sv.large:
             self._tree_insert(u, v, v, no_splay_tree)
             sv.trees_in.add(u)
@@ -535,13 +537,15 @@ class Network:
                 bad.append(f"helper duty ({a}, {b}) of node {x} is inconsistent")
 
     def _sweep(self, nodes: Iterable[int], degree: list[int], total_ws: int) -> list[str]:
-        """The per-node rules on `nodes`, the cap on all of `degree`, the working-set total."""
+        """The per-node rules on `nodes`, every degree in [0, cap], the working-set total.
+        A cached degree drifting inside [0, cap] shows only in `validate_invariants`' recount."""
         p = self.params
         bad: list[str] = []
         for x in nodes:
             self._check_node(x, bad)
-        if max(degree) > p.delta_cap:  # one scan; the nodes are listed only when it fires
+        if max(degree) > p.delta_cap or min(degree) < 0:  # one scan per bound; nodes are listed only when one fires
             bad += [f"degree({x}) = {d} > {p.delta_cap}" for x, d in enumerate(degree) if d > p.delta_cap]
+            bad += [f"degree({x}) = {d} < 0" for x, d in enumerate(degree) if d < 0]
         if total_ws > p.reset_threshold:
             bad.append(f"total working-set size {total_ws} > {p.reset_threshold}")
         return bad
@@ -709,19 +713,19 @@ def replay_trace(net: Network, trace: Trace) -> CostLedger:
     """Serve a whole trace in order, collecting the per-request cost ledger.
 
     Every row starts idle, `(1, 0, 0, 0)`; the requests that are not idle by
-    the rule of the module docstring go through `serve_request` in order.  On
-    a network whose working sets do not start empty, or with debug checks on,
-    the rule may not hold, and every request is served."""
+    the module docstring's rule (pair seen either way since the last reset) go
+    through `serve_request` in order.  On a network whose working sets do not
+    start empty, or with debug checks on, the rule may not hold; all are served."""
     src, dst = trace.src, trace.dst
     serve = net.serve_request
     m = len(trace)
-    # each request's previous request of its pair when neither end can turn
-    # large, else -1; all -1 where the rule may not hold
+    # each request's previous request of its pair, either way, when neither
+    # end can turn large, else -1; all -1 where the rule may not hold
     few = trace.partners <= net.params.theta
     if net.total_ws or net.debug_checks:
         few[:] = False
     rows = trace.pair_table
-    since = np.where((few[rows.src] & few[rows.dst])[trace.pair_index], trace.prev_occurrence, -1)
+    since = np.where((few[rows.src] & few[rows.dst])[trace.pair_index], trace.prev_link, -1)
     ledger = CostLedger([1] * m, [0] * m, [0] * m, [0] * m)
     hops, adjust, coord, reset = ledger.hops, ledger.adjust, ledger.coord, ledger.reset
     last_reset = 0  # the request that last reset the network; the start counts as one

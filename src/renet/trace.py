@@ -7,12 +7,12 @@ ordered (src, dst) pairs with src != dst.
 A trace sorts its pairs once: `Trace.pair_table` lists the distinct pairs
 with their counts, and `Trace.pair_index` each request's row in that table.
 Every pair count in the package (sparsity, entropy, baselines) reads these.
-`Trace.prev_occurrence`, made from `pair_index` on first use, links each
-request to the previous request of its pair; the sparsity check and the
-replay's idle-request rule read it.  `Trace.links` lists each linked pair
-once, whichever way it was requested, and `Trace.partners` counts each
-node's linked pairs; the idle-request rule and the static baseline read
-both.  Both pair codes, directed and undirected, are made here once.
+`Trace.links` lists each linked pair once, whichever way it was requested,
+and `Trace.partners` counts each node's linked pairs; the idle-request rule
+and the static baseline read both.  On first use, `Trace.prev_occurrence`
+links each request to the previous request of its (src, dst) pair, for the
+sparsity check, and `Trace.prev_link` to that of its pair in either
+direction, for the idle-request rule.  Both pair codes are made here once.
 """
 
 from __future__ import annotations
@@ -86,15 +86,13 @@ class Trace:
 
     @cached_property
     def prev_occurrence(self) -> np.ndarray:
-        """Each request's previous request with the same (src, dst) pair, -1
-        for the first, as int32 (int64 past 2**31 requests); one stable sort
-        of `pair_index`."""
-        rows = self.pair_index
-        order = np.argsort(rows, kind="stable")
-        again = rows[order[1:]] == rows[order[:-1]]  # order[k + 1] is the next occurrence of order[k]'s pair
-        prev = np.full(len(rows), -1, dtype=np.int32 if len(rows) < 2**31 else np.int64)
-        prev[order[1:][again]] = order[:-1][again]
-        return prev
+        """Each request's previous request of its (src, dst) pair or -1, int32 (int64 past 2**31); one stable sort."""
+        return _previous(self.pair_index)
+
+    @cached_property
+    def prev_link(self) -> np.ndarray:
+        """The same for its pair in either direction; one stable sort of its rows in `links`."""
+        return _previous(self.links[1].astype(self.pair_index.dtype)[self.pair_index])  # no more links than pairs
 
     @cached_property
     def links(self) -> tuple[np.ndarray, np.ndarray]:
@@ -123,6 +121,14 @@ class Trace:
         """Occurrence counts of each distinct (src, dst) pair in [start, stop)."""
         src, dst, count = self.pairs_in(start, stop)
         return dict(zip(zip(src.tolist(), dst.tolist()), count.tolist()))
+
+
+def _previous(rows: np.ndarray) -> np.ndarray:
+    order = np.argsort(rows, kind="stable")
+    again = rows[order[1:]] == rows[order[:-1]]  # order[k + 1] is the next occurrence of order[k]'s row
+    prev = np.full(len(rows), -1, dtype=np.int32 if len(rows) < 2**31 else np.int64)
+    prev[order[1:][again]] = order[:-1][again]
+    return prev
 
 
 @dataclass(frozen=True)

@@ -726,6 +726,15 @@ def test_debug_sweep_scans_every_degree_for_the_cap():
         net.serve_request(1, 2)
 
 
+def test_debug_sweep_scans_every_degree_for_a_negative_one():
+    net = fresh(8, 1)
+    net.serve_request(1, 2)
+    net.degree[5] = -1
+    # node 5 is untouched by the idle hop, so only the scan of every degree sees it
+    with pytest.raises(InvariantError, match=r"^degree\(5\) = -1 < 0$"):
+        net.serve_request(1, 2)
+
+
 # -- hop validation, by fault injection ----------------------------------------------
 
 
@@ -1100,6 +1109,32 @@ def test_replay_serves_idle_requests_in_bulk_only_where_the_rule_holds(monkeypat
     assert sum(1 for row in zip(ledger.hops, ledger.adjust, ledger.coord, ledger.reset) if row == (1, 0, 0, 0)) >= skipped
     if c == 1.0:
         assert net.reset_count > 0
+
+
+def test_replay_serves_a_reverse_pair_as_idle(monkeypatch):
+    tr = Trace(8, [0, 1, 0], [1, 0, 1])
+    calls = count_serves(monkeypatch)
+    ledger = replay_trace(Network(NetParams(8, 0.5)), tr)
+    assert calls == [(0, 1)]
+    assert ledger == served_one_by_one(Network(NetParams(8, 0.5)), tr)
+
+
+def test_replay_serves_each_link_once_until_a_reset(monkeypatch):
+    tr = generate(Torus(256, 4000), seed=4)
+    calls = count_serves(monkeypatch)
+    net = Network(NetParams(256, 4.0))
+    replay_trace(net, tr)
+    assert net.reset_count == 0
+    assert len(calls) == len(tr.links[0])
+    # threshold 4: the new pair (0, 2) resets, so the reverse of (0, 1) is
+    # served again, while the reverse of (0, 2) is idle
+    tr = Trace(4, [0, 2, 0, 1, 2], [1, 3, 2, 0, 0])
+    calls.clear()
+    net = Network(NetParams(4, 0.5))
+    ledger = replay_trace(net, tr)
+    assert net.reset_count == 1 and ledger.reset == [0, 0, 4, 0, 0]
+    assert calls == [(0, 1), (2, 3), (0, 2), (1, 0)]
+    assert ledger == served_one_by_one(Network(NetParams(4, 0.5)), tr)
 
 
 def test_replay_serves_every_request_on_a_network_resumed_mid_trace(monkeypatch):

@@ -146,6 +146,43 @@ def test_one_previous_occurrence_sort_per_trace(monkeypatch):
     assert sorts == [len(tr)]
 
 
+@seed(20263)
+@given(traces_with_ranges())
+@example((Trace(5, [], []), []))
+@example((Trace(5, [3], [1]), []))
+@example((Trace(6, [0, 1, 2, 0], [1, 0, 3, 1]), []))  # (1, 0) follows (0, 1)
+@example((ALL_PAIRS_20, []))  # 190 links, past 2**7
+@settings(max_examples=100, deadline=None)
+def test_prev_link_links_each_request_to_its_pairs_last_one_either_way(drawn):
+    trace, _ = drawn
+    last = {}
+    want = []
+    for i, pair in enumerate(requests(trace)):
+        want.append(last.get(frozenset(pair), -1))
+        last[frozenset(pair)] = i
+    assert trace.prev_link.dtype == np.int32
+    assert trace.prev_link.tolist() == want
+
+
+def test_one_previous_link_sort_per_trace(monkeypatch):
+    # the stable argsorts are the previous-occurrence sorts; made on first use only
+    sorts = []
+    argsort = np.argsort
+
+    def counting_argsort(a, *args, **kwargs):
+        if kwargs.get("kind") == "stable":
+            sorts.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    tr = generate(Torus(64, 2000), seed=1)
+    tr.links
+    assert sorts == []
+    for _ in range(2):
+        tr.prev_link
+    assert sorts == [len(tr)]
+
+
 @seed(20262)
 @given(traces_with_ranges())
 @example((Trace(6, [0, 1, 2, 0], [1, 0, 3, 1]), []))  # (0, 1) both ways counts once; 4 and 5 isolated
