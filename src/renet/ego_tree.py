@@ -57,7 +57,8 @@ class DownRoute:
 
     @property
     def path(self) -> list:
-        """Occupants visited, root (or virtual root) first."""
+        """Occupants visited, root (or virtual root) first.  The network
+        walks `entries`; the benchmark's tracer counts route hops from this."""
         return [e.occupant for e in self.entries]
 
 
@@ -72,7 +73,8 @@ class UpRoute:
 
     @property
     def path(self) -> list:
-        """Occupants of the parent chain, ending with the owner."""
+        """Occupants of the parent chain, ending with the owner.  The network
+        walks `entries`; the benchmark's tracer counts route hops from this."""
         return [e.occupant for e in self.entries[1:]] + [self.owner]
 
 
@@ -141,27 +143,6 @@ class EgoTree:
 
     def occupant_of(self, key: int) -> int:
         return self._by_key[key].occupant
-
-    def depth(self, key: int) -> int:
-        e = self._by_key[key]
-        d = 0
-        while e.parent is not None:
-            e = e.parent
-            d += 1
-        return d
-
-    def keys_inorder(self) -> list[int]:
-        out: list[int] = []
-        stack: list[_Entry] = []
-        e = self.root
-        while stack or e is not None:
-            while e is not None:
-                stack.append(e)
-                e = e.left
-            e = stack.pop()
-            out.append(e.key)
-            e = e.right
-        return out
 
     def edges(self) -> Counter:
         """Physical edge multiset induced by this tree, in occupant space."""
@@ -397,7 +378,9 @@ class EgoTree:
         """Comparison walk from the root; one hop owner->root, one per level.
 
         A virtual-root hit short-circuits to one hop.  On a miss the walk
-        stops at the entry whose missing child the key would occupy.
+        stops at the entry whose missing child the key would occupy.  The
+        network's `_route` takes these hops; the benchmark's tracer wraps
+        this method by name (span ``ego_tree.route_down``).
         """
         if self.root is None:
             return DownRoute(False, [])
@@ -416,7 +399,9 @@ class EgoTree:
             e = nxt
 
     def route_up(self, from_key: int) -> UpRoute:
-        """Parent walk to the root plus the root-to-owner hop."""
+        """Parent walk to the root plus the root-to-owner hop.  The network's
+        `_walk_up` takes these hops; the benchmark's tracer wraps this method
+        by name (span ``ego_tree.route_up``)."""
         e = self._by_key[from_key]
         entries = [e]
         if from_key in self.vr:

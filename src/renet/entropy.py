@@ -1,4 +1,4 @@
-"""Empirical entropy measures: one count-array kernel and a dict API over it.
+"""Empirical entropy measures: one count-array kernel and what runs it.
 
 The kernel takes the distinct (src, dst) pairs of a demand in ascending
 (src, dst) order, as integer counts, and returns H(X), H(Y), H(Y|X) and
@@ -16,12 +16,10 @@ logs come from `math.log`, called once per distinct frequency; and the sum
 over rows is a `np.cumsum`, which is sequential as well.  `np.sum` and
 `np.add.reduceat` sum pairwise and would move the last bits.
 
-The dict API (`entropy`, `marginals`, `conditional_entropy`, ...) takes a
-distribution as a plain mapping ``key -> frequency`` and a joint
-distribution as a mapping ``(src, dst) -> frequency``; frequencies are
-non-negative and sum to one, which `check_dist` verifies at each of these
-entry points.  The adapters list the entries in sorted key order and call
-the same kernel pieces.
+`normalized` turns a count map into frequencies for the static baseline,
+and `conditional_entropy` takes a joint map ``(src, dst) -> frequency``
+(checked by `check_dist`) and runs the same kernel pieces on it in sorted
+key order; the benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ import numpy as np
 
 SUM_TOL = 1e-9
 
+# the two directions of `conditional_entropy`
 Y_GIVEN_X = "y|x"
 X_GIVEN_Y = "x|y"
 
@@ -44,7 +43,8 @@ def _check_base(base: float) -> None:
 
 
 def check_dist(dist: Mapping) -> None:
-    """Raise ValueError unless `dist` is a valid frequency distribution."""
+    """Raise ValueError unless `dist` is a valid frequency distribution;
+    `conditional_entropy` checks its joint map with it."""
     total = 0.0
     for k, p in dist.items():
         if p < 0:
@@ -55,7 +55,9 @@ def check_dist(dist: Mapping) -> None:
 
 
 def normalized(counts: Mapping) -> dict:
-    """Turn a map of non-negative counts into a frequency distribution."""
+    """Turn a map of non-negative counts into a frequency distribution, in
+    sorted key order; `build_static_dan` weighs each hub tree's partners
+    with it."""
     total = float(sum(counts.values()))
     if total <= 0:
         raise ValueError("cannot normalize empty or all-zero counts")
@@ -105,54 +107,23 @@ def _count_entropies(x: np.ndarray, y: np.ndarray, counts: np.ndarray, base: flo
     )
 
 
-def _joint_arrays(joint: Mapping) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, list]:
-    """Positive entries of a joint map in sorted key order: frequencies,
-    ranks of x and of y, and the sorted x and y keys the ranks index."""
-    keys = sorted(k for k, f in joint.items() if f > 0.0)
-    xkeys = sorted({x for x, _ in keys})
-    ykeys = sorted({y for _, y in keys})
-    xrank = {x: i for i, x in enumerate(xkeys)}
-    yrank = {y: i for i, y in enumerate(ykeys)}
-    f = np.array([joint[k] for k in keys], dtype=np.float64)
-    x = np.array([xrank[k[0]] for k in keys], dtype=np.intp)
-    y = np.array([yrank[k[1]] for k in keys], dtype=np.intp)
-    return f, x, y, xkeys, ykeys
-
-
-def entropy(dist: Mapping, base: float = 2.0) -> float:
-    """Shannon entropy -sum p log_base p of a frequency distribution."""
-    _check_base(base)
-    check_dist(dist)
-    p = np.array([dist[k] for k in sorted(dist) if dist[k] > 0.0], dtype=np.float64)
-    return _entropy(p, math.log(base))
-
-
-def marginals(joint: Mapping) -> tuple[dict, dict]:
-    """Source (row-sum) and destination (column-sum) marginals of a joint map."""
-    check_dist(joint)
-    f, x, y, xkeys, ykeys = _joint_arrays(joint)
-    fx = np.bincount(x, weights=f).tolist()
-    fy = np.bincount(y, weights=f).tolist()
-    return dict(zip(xkeys, fx)), dict(zip(ykeys, fy))
-
-
-def joint_entropy(joint: Mapping, base: float = 2.0) -> float:
-    """Entropy of the joint (src, dst) frequency map."""
-    return entropy(joint, base)
-
-
 def conditional_entropy(joint: Mapping, direction: str, base: float = 2.0) -> float:
     """Conditional entropy of a joint frequency map.
 
     ``direction=Y_GIVEN_X`` computes H(dst | src) as
     sum_x f(x) * H(row_x / f(x)); ``X_GIVEN_Y`` conditions on the destination.
+    No command calls it: it stays as the map-level entry point that the
+    benchmark's tracer wraps (span ``entropy.conditional_entropy``).
     """
     _check_base(base)
     check_dist(joint)
     if direction not in (Y_GIVEN_X, X_GIVEN_Y):
         raise ValueError(f"direction must be {Y_GIVEN_X!r} or {X_GIVEN_Y!r}")
-    f, x, y, _, _ = _joint_arrays(joint)
-    key = x if direction == Y_GIVEN_X else y
+    keys = sorted(k for k, f in joint.items() if f > 0.0)
+    side = 0 if direction == Y_GIVEN_X else 1
+    rank = {v: i for i, v in enumerate(sorted({k[side] for k in keys}))}
+    f = np.array([joint[k] for k in keys], dtype=np.float64)
+    key = np.array([rank[k[side]] for k in keys], dtype=np.intp)
     return _conditional(f, key, np.bincount(key, weights=f), math.log(base))
 
 
@@ -162,58 +133,6 @@ def demand_entropy(trace, base: float, start: int = 0, stop: int | None = None) 
     this one rule; the counts are read off the trace's pair index."""
     _, _, hygx, hxgy = _count_entropies(*trace.pairs_in(start, stop), base)
     return max(hygx, hxgy)
-
-
-def symmetrize(joint: Mapping) -> dict:
-    """Half-sum symmetrization: out(x, y) = (f(x, y) + f(y, x)) / 2."""
-    check_dist(joint)
-    out: dict = {}
-    for (x, y) in sorted(joint):
-        f = joint[(x, y)]
-        if f <= 0.0:
-            continue
-        half = 0.5 * f
-        out[(x, y)] = out.get((x, y), 0.0) + half
-        out[(y, x)] = out.get((y, x), 0.0) + half
-    return {k: out[k] for k in sorted(out)}
-
-
-@dataclass(frozen=True)
-class AveragedBounds:
-    """Quantities of the entropy-of-average sandwich.
-
-    lower = (H(p) + H(q)) / 2, mid = H((p + q) / 2) and
-    upper_slack = max(H(p), H(q)) + 1 - mid >= 0.
-    """
-
-    lower: float
-    mid: float
-    upper_slack: float
-
-
-def averaged_entropy_bounds(p: Mapping, q: Mapping, base: float = 2.0) -> AveragedBounds:
-    """Verify H*/2 <= (H(p)+H(q))/2 <= H((p+q)/2) <= H*+1 and return the pieces.
-
-    The key universe is the union of the two supports; zero entries need not
-    be stored on either side.
-    """
-    hp = entropy(p, base)
-    hq = entropy(q, base)
-    avg: dict = {}
-    for k in sorted(set(p) | set(q)):
-        w = 0.5 * p.get(k, 0.0) + 0.5 * q.get(k, 0.0)
-        if w > 0.0:
-            avg[k] = w
-    h_star = max(hp, hq)
-    lower = 0.5 * hp + 0.5 * hq
-    mid = entropy(avg, base)
-    slack = h_star + 1.0 - mid
-    eps = 1e-9
-    if not (0.5 * h_star <= lower + eps and lower <= mid + eps and mid <= h_star + 1.0 + eps):
-        raise ValueError(
-            f"entropy sandwich violated: H*={h_star}, lower={lower}, mid={mid}"
-        )
-    return AveragedBounds(lower=lower, mid=mid, upper_slack=slack)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Per-request cost ledgers, reset-window reports, and the cost ratio rho.
 
-Every served request appends one ledger row {hops, adjust, coord, reset}.
+Each request has one ledger row {hops, adjust, coord, reset}, filled in by
+`network.replay_trace`.
 Reset events mark window boundaries: window i spans the requests between the
 (i-1)-th and i-th reset, with a trailing partial window after the last one.
 """
@@ -25,12 +26,6 @@ class CostLedger:
     @property
     def m(self) -> int:
         return len(self.hops)
-
-    def append(self, hops: int, adjust: int, coord: int, reset: int) -> None:
-        self.hops.append(hops)
-        self.adjust.append(adjust)
-        self.coord.append(coord)
-        self.reset.append(reset)
 
     def slice(self, start: int, stop: int) -> "CostLedger":
         return CostLedger(

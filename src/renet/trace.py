@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, NamedTuple, Sequence, Union
+from typing import IO, NamedTuple, Union
 
 import numpy as np
 
@@ -60,13 +60,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.src)
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Sequence[Request]) -> "Trace":
-        if len(pairs):
-            arr = np.asarray(pairs, dtype=np.int64)
-            return cls(n, arr[:, 0], arr[:, 1])
-        return cls(n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
     @cached_property
     def _pairs(self) -> tuple[PairTable, np.ndarray]:
@@ -118,7 +111,10 @@ class Trace:
         return PairTable(src[rows], dst[rows], count[rows])
 
     def pair_counts(self, start: int = 0, stop: int | None = None) -> dict[Request, int]:
-        """Occurrence counts of each distinct (src, dst) pair in [start, stop)."""
+        """Occurrence counts of each distinct (src, dst) pair in [start, stop),
+        as a dict.  No command calls it: every count in the package reads
+        `pairs_in`.  It stays because the benchmark's tracer wraps it by name
+        (span ``trace.pair_counts``)."""
         src, dst, count = self.pairs_in(start, stop)
         return dict(zip(zip(src.tolist(), dst.tolist()), count.tolist()))
 
@@ -332,12 +328,6 @@ def generate(spec: WorkloadSpec, seed: int) -> Trace:
 # Trace CSV format: a `#n=<count>` header line, then one `src,dst` line per
 # request, in order.
 # ---------------------------------------------------------------------------
-
-
-def write_trace_csv(trace: Trace, fh: IO[str]) -> None:
-    fh.write(f"#n={trace.n}\n")
-    for u, v in zip(trace.src.tolist(), trace.dst.tolist()):
-        fh.write(f"{u},{v}\n")
 
 
 def read_trace_csv(fh: IO[str]) -> Trace:

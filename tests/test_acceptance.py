@@ -12,21 +12,12 @@ import time
 import numpy as np
 import pytest
 
+import entropy_oracle as oracle
+from helpers import depth, kernel, kernel_h, ledger_of
 from renet.baselines import ObliviousNet, build_static_dan, oblivious_cost, stat_cost
 from renet.ego_tree import EgoTree
-from renet.entropy import (
-    X_GIVEN_Y,
-    Y_GIVEN_X,
-    averaged_entropy_bounds,
-    conditional_entropy,
-    entropy,
-    joint_entropy,
-    marginals,
-    normalized,
-    symmetrize,
-    windowed_entropy_report,
-)
-from renet.metrics import CostLedger, average_cost, rho_estimate
+from renet.entropy import _count_entropies, windowed_entropy_report
+from renet.metrics import average_cost, rho_estimate
 from renet.network import NetParams, Network, replay_trace
 from renet.trace import (
     ProductDist,
@@ -51,16 +42,16 @@ def report(name: str, ok: bool, detail: str) -> None:
 def run_with_sweeps(trace, c=C, validate_every=500):
     net = Network(NetParams(trace.n, c))
     net.debug_checks = True
-    ledger = CostLedger()
+    rows = []
     pairs = zip(trace.src.tolist(), trace.dst.tolist())
     for i, (u, v) in enumerate(pairs):
-        ledger.append(*net.serve_request(u, v))
+        rows.append(net.serve_request(u, v))
         if (i + 1) % validate_every == 0:
             bad = net.validate_invariants()
             assert not bad, f"request {i}: {bad[:3]}"
     bad = net.validate_invariants()
     assert not bad, bad[:3]
-    return net, ledger
+    return net, ledger_of(rows)
 
 
 def matrix_specs(n):
@@ -135,6 +126,9 @@ def test_criterion_3_helper_availability(sweep_matrix):
 
 
 def test_criterion_4_entropy_identities():
+    # the four entropies come from the kernel every report runs; the dict
+    # loops of tests/entropy_oracle.py give the joint entropy and build the
+    # symmetrized and averaged inputs
     rng = np.random.Generator(np.random.PCG64(1234))
     start = time.perf_counter()
     for trial in range(1000):
@@ -147,19 +141,16 @@ def test_criterion_4_entropy_identities():
         weights /= weights.sum()
         joint = {p: float(w) for p, w in zip(pairs, weights)}
 
-        xs, ys = marginals(joint)
-        h_joint = joint_entropy(joint)
-        hygx = conditional_entropy(joint, Y_GIVEN_X)
-        hxgy = conditional_entropy(joint, X_GIVEN_Y)
-        assert abs(h_joint - (entropy(xs) + hygx)) <= 1e-6
-        assert abs(h_joint - (entropy(ys) + hxgy)) <= 1e-6
-        assert hxgy <= entropy(xs) + 1e-6 and hygx <= entropy(ys) + 1e-6
+        hx, hy, hygx, hxgy = kernel(joint)
+        h_joint = oracle.entropy(joint)
+        assert abs(h_joint - (hx + hygx)) <= 1e-6
+        assert abs(h_joint - (hy + hxgy)) <= 1e-6
+        assert hxgy <= hx + 1e-6 and hygx <= hy + 1e-6
         base = 2.0 + float(rng.random()) * 30
-        assert abs(joint_entropy(joint, base) - h_joint / math.log2(base)) <= 1e-9
+        for h2, hb in zip((hx, hy, hygx, hxgy), kernel(joint, base)):
+            assert abs(hb - h2 / math.log2(base)) <= 1e-9
 
-        sym = symmetrize(joint)
-        s_yx = conditional_entropy(sym, Y_GIVEN_X)
-        s_xy = conditional_entropy(sym, X_GIVEN_Y)
+        _, _, s_yx, s_xy = kernel(oracle.symmetrize(joint))
         assert abs(s_yx - s_xy) <= 1e-9
         assert s_yx <= max(hygx, hxgy) + 1.0 + 1e-9
 
@@ -167,9 +158,11 @@ def test_criterion_4_entropy_identities():
         pw, qw = rng.random(len(keys)) + 1e-6, rng.random(len(keys)) + 1e-6
         p = {k: float(w) for k, w in zip(keys, pw / pw.sum())}
         q = {k: float(w) for k, w in zip(keys, qw / qw.sum())}
-        res = averaged_entropy_bounds(p, q)
-        h_star = max(entropy(p), entropy(q))
-        assert 0.5 * h_star <= res.lower + 1e-9 <= res.mid + 2e-9 <= h_star + 1.0 + 1e-8
+        hp, hq, mid = kernel_h(p), kernel_h(q), kernel_h(oracle.averaged(p, q))
+        h_star = max(hp, hq)
+        lower = 0.5 * hp + 0.5 * hq
+        assert 0.5 * h_star <= lower + 1e-9 <= mid + 2e-9 <= h_star + 1.0 + 1e-8
+        assert mid <= h_star + 1.0 + 1e-9  # the sandwich at its 1e-9 tolerance
     elapsed = time.perf_counter() - start
     report(
         "criterion 4 (entropy identities)",
@@ -256,14 +249,10 @@ def test_criterion_7_reconfiguration_gap():
         obl_avg = oblivious_cost(ObliviousNet.build(n), trace)
         ratios[n] = obl_avg / renet_avg
         if n == 1024:
-            full_joint = normalized(trace.pair_counts())
-            xs, _ = marginals(full_joint)
-            full_hx = entropy(xs)
-            full_hygx = conditional_entropy(full_joint, Y_GIVEN_X)
+            full_hx, _, full_hygx, _ = _count_entropies(*trace.pair_table, 2.0)
             phase_h = []
             for i in range(k):
-                pj = normalized(trace.pair_counts(i * m_each, (i + 1) * m_each))
-                phase_h.append(conditional_entropy(pj, Y_GIVEN_X))
+                phase_h.append(_count_entropies(*trace.pairs_in(i * m_each, (i + 1) * m_each), 2.0)[2])
             window_hygx = sum(phase_h) / len(phase_h)
             entropies = {
                 "full_hx": full_hx,
@@ -297,13 +286,13 @@ def test_criterion_8_splay_cost_budget():
     total = 0
     for k in accesses:
         total += len(tree.route_down(k).path)
-        total += tree.depth(k)  # the rotations of the splay
+        total += depth(tree, k)  # the rotations of the splay
         tree.adjust(k)
     elapsed = time.perf_counter() - start
     counts = {}
     for k in accesses:
         counts[k] = counts.get(k, 0) + 1
-    h_emp = entropy(normalized(counts))
+    h_emp = oracle.entropy(oracle.normalized(counts))
     budget = 3 * m * (h_emp + 1) + 2 * n_keys * math.log2(n_keys)
     ok = total <= budget and elapsed <= 5
     report(

@@ -14,7 +14,9 @@ from renet.baselines import (
     stat_cost,
     static_lower_bound,
 )
-from renet.entropy import entropy, normalized
+import entropy_oracle as oracle
+from helpers import trace_of
+from renet.entropy import normalized
 from renet.network import HelperExhaustion, NetParams, Network
 from renet.trace import StarZipf, Torus, Trace, UniformPairs, generate
 
@@ -28,7 +30,7 @@ def torus_edge_trace(side):
             u = x + side * y
             for (dx, dy) in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                 pairs.append((u, (x + dx) % side + side * ((y + dy) % side)))
-    return Trace.from_pairs(n, pairs)
+    return trace_of(n, pairs)
 
 
 # -- oblivious fabric -----------------------------------------------------------
@@ -150,21 +152,21 @@ def test_lower_bound_exact_torus():
 
 
 def test_lower_bound_single_pair():
-    tr = Trace.from_pairs(4, [(1, 2)] * 10)
+    tr = trace_of(4, [(1, 2)] * 10)
     assert static_lower_bound(tr, degree=24) == 0.0
 
 
 def test_lower_bound_uniform_pairs():
     n = 16
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    lb = static_lower_bound(Trace.from_pairs(n, pairs), degree=24)
+    lb = static_lower_bound(trace_of(n, pairs), degree=24)
     # each source row is uniform over the 15 other nodes, base-changed
     assert lb == pytest.approx(math.log2(15) / math.log2(24), abs=1e-9)
 
 
 def test_lower_bound_rejects_degree_one():
     with pytest.raises(ValueError):
-        static_lower_bound(Trace.from_pairs(4, [(1, 2)]), degree=1)
+        static_lower_bound(trace_of(4, [(1, 2)]), degree=1)
 
 
 # -- static demand-aware baseline ------------------------------------------------------
@@ -186,11 +188,11 @@ def test_static_dan_star_hub_tree_entropy_depth():
     weights = normalized(
         {v: c for (a, b), c in tr.pair_counts().items() for v in (a, b) if v != 0}
     )
-    assert sum(w * dan.depths[0][v] for v, w in weights.items()) <= entropy(weights) + 2.0
+    assert sum(w * dan.depths[0][v] for v, w in weights.items()) <= oracle.entropy(weights) + 2.0
     # replay cost sits in [1, H(sym partners) + 3]: tree depth bound plus the
     # owner hop; all traffic here crosses the single hub tree
     avg = stat_cost(dan, tr)
-    assert 1.0 <= avg <= entropy(weights) + 3.0
+    assert 1.0 <= avg <= oracle.entropy(weights) + 3.0
 
 
 def test_static_dan_degree_cap_verified(monkeypatch):
@@ -198,7 +200,7 @@ def test_static_dan_degree_cap_verified(monkeypatch):
     # relayed by a helper that is no hub's partner
     params = NetParams(64, 0.5)  # theta 2, degree cap 12, at most 32 unique pairs
     pairs = [(0, v) for v in range(16, 29)] + [(1, v) for v in range(29, 42)] + [(0, 1)]
-    tr = Trace.from_pairs(64, pairs)
+    tr = trace_of(64, pairs)
     helper = build_static_dan(tr, params).helpers[(0, 1)]
     assert helper not in (0, 1, *range(16, 42))
 
@@ -216,14 +218,14 @@ def test_static_dan_rejects_dense_demand():
     params = NetParams(16, 0.5)  # cap: 8 unique pairs
     pairs = [(u, v) for u in range(4) for v in range(4, 8)]
     with pytest.raises(StaticBuildError):
-        build_static_dan(Trace.from_pairs(16, pairs), params)
+        build_static_dan(trace_of(16, pairs), params)
 
 
 def test_static_helpers_least_loaded_then_smallest_id():
     params = NetParams(15, 1)  # theta 4, helper load <= 2, at most 15 unique pairs
     hubs = range(6)  # each hub's 5 partners are the other hubs, so all six are large
     pairs = [(a, b) for a in hubs for b in hubs if a < b]
-    tr = Trace.from_pairs(15, pairs)
+    tr = trace_of(15, pairs)
     dan = build_static_dan(tr, params)
     assert dan.large == set(hubs)
     # 15 large-large pairs in sorted order over the 9 small nodes 6..14: the
@@ -243,7 +245,7 @@ def test_static_helper_exhaustion_is_a_build_error(monkeypatch):
     monkeypatch.setattr(Network, "find_helper", exhausted)
     pairs = [(0, v) for v in (3, 4, 5)] + [(1, v) for v in (6, 7, 8)] + [(0, 1)]
     with pytest.raises(StaticBuildError, match=r"no helper available for static pair \(0, 1\)"):
-        build_static_dan(Trace.from_pairs(16, pairs), NetParams(16, 0.5))
+        build_static_dan(trace_of(16, pairs), NetParams(16, 0.5))
 
 
 # -- static replay ------------------------------------------------------------------
@@ -251,7 +253,7 @@ def test_static_helper_exhaustion_is_a_build_error(monkeypatch):
 
 def test_stat_cost_all_direct_is_one():
     params = NetParams(8, 1)
-    tr = Trace.from_pairs(8, [(0, 1), (1, 0), (2, 3)] * 5)
+    tr = trace_of(8, [(0, 1), (1, 0), (2, 3)] * 5)
     dan = build_static_dan(tr, params)
     assert stat_cost(dan, tr) == pytest.approx(1.0)
 
@@ -262,7 +264,7 @@ def test_stat_cost_hub_is_expected_depth_plus_one():
     for leaf in range(1, 8):
         pairs.append((0, leaf))
         pairs.append((leaf, 0))
-    tr = Trace.from_pairs(32, pairs)
+    tr = trace_of(32, pairs)
     dan = build_static_dan(tr, params)
     assert dan.large == {0}
     assert sorted(dan.depths[0]) == list(range(1, 8))
@@ -273,22 +275,22 @@ def test_stat_cost_hub_is_expected_depth_plus_one():
 def test_stat_cost_relayed_pair_sums_leg_depths():
     params = NetParams(16, 0.5)  # theta 2
     pairs = [(0, v) for v in (3, 4, 5)] + [(1, v) for v in (6, 7, 8)] + [(0, 1)]
-    tr = Trace.from_pairs(16, pairs)
+    tr = trace_of(16, pairs)
     dan = build_static_dan(tr, params)
     assert dan.large == {0, 1}
     helper = dan.helpers[(0, 1)]
     assert helper not in (0, 1) and helper not in dan.large
     expected = dan.depths[0][1] + dan.depths[1][0] + 2
-    only_pair = Trace.from_pairs(16, [(0, 1)])
+    only_pair = trace_of(16, [(0, 1)])
     assert stat_cost(dan, only_pair) == pytest.approx(expected)
 
 
 def test_stat_cost_missing_pair_rejected():
     params = NetParams(8, 1)
-    tr = Trace.from_pairs(8, [(0, 1)])
+    tr = trace_of(8, [(0, 1)])
     dan = build_static_dan(tr, params)
     with pytest.raises(ValueError):
-        stat_cost(dan, Trace.from_pairs(8, [(2, 3)]))
+        stat_cost(dan, trace_of(8, [(2, 3)]))
 
 
 def dict_loop_hop_total(dan, trace):
@@ -330,7 +332,7 @@ def static_cases(draw):
     pairs += [p for p in draw(st.lists(st.tuples(node, node), max_size=6)) if p[0] != p[1]]
     assume(pairs)
     order = draw(st.permutations(range(len(pairs))))
-    return Trace.from_pairs(n, [pairs[i] for i in order]), params
+    return trace_of(n, [pairs[i] for i in order]), params
 
 
 @given(static_cases(), st.data())
@@ -348,7 +350,7 @@ def test_array_stat_cost_matches_dict_loop(case, data):
     linked = {frozenset(p) for p in tr.pair_counts()}
     free = [(u, v) for u in range(tr.n) for v in range(tr.n) if u != v and frozenset((u, v)) not in linked]
     assume(free)
-    stray = Trace.from_pairs(tr.n, [data.draw(st.sampled_from(free))])
+    stray = trace_of(tr.n, [data.draw(st.sampled_from(free))])
     with pytest.raises(ValueError, match="not routable"):
         dict_loop_hop_total(dan, stray)
     with pytest.raises(ValueError, match="not routable"):

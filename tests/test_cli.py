@@ -4,9 +4,10 @@ import re
 
 import pytest
 
-from renet.cli import ExperimentConfig, main
+from helpers import trace_csv
+from renet.cli import ExperimentConfig, main, make_workload
 from renet.network import HelperExhaustion, Network
-from renet.trace import Torus, generate, write_trace_csv
+from renet.trace import RoundRobinGrids, Torus, generate
 
 
 def run_cli(*args):
@@ -16,6 +17,10 @@ def run_cli(*args):
 def test_config_round_trips():
     cfg = ExperimentConfig(workload="star", n=32, alpha=1.5)
     assert ExperimentConfig.from_dict(dataclasses.asdict(cfg)) == cfg
+
+
+def test_rrg_workload_defaults_to_four_phases_of_n_log_n():
+    assert make_workload(ExperimentConfig(workload="rrg", n=16)) == RoundRobinGrids(16, 4, 64)
 
 
 def test_run_writes_reports(tmp_path):
@@ -63,8 +68,7 @@ def test_unknown_config_key_exits_two(tmp_path):
 
 def test_trace_file_ingestion(tmp_path):
     trace_path = tmp_path / "trace.csv"
-    with open(trace_path, "w") as fh:
-        write_trace_csv(generate(Torus(16, 200), seed=5), fh)
+    trace_path.write_text(trace_csv(generate(Torus(16, 200), seed=5)))
     out = tmp_path / "out"
     code = run_cli("run", "--trace", str(trace_path), "--c", "4", "--out", str(out))
     assert code == 0

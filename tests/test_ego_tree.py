@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import depth, keys_inorder
 from renet.baselines import bisect_tree
 from renet.ego_tree import EgoTree, _Entry
 
@@ -30,7 +31,7 @@ def shape(t):
         e = stack.pop()
         links.append((e.key, e.occupant, key(e.parent), key(e.left), key(e.right)))
         stack.extend(ch for ch in (e.left, e.right) if ch is not None)
-    return t.keys_inorder(), sorted(links)
+    return keys_inorder(t), sorted(links)
 
 
 def degrees_of(edges):
@@ -87,7 +88,7 @@ def test_route_down_virtual_root_single_hop():
     t.adjust(3)                      # 3 becomes root and a virtual root
     for k in (8, 1, 6):
         t.adjust(k)                  # push 3 deep again
-    assert t.depth(3) > 1
+    assert depth(t, 3) > 1
     res = t.route_down(3)
     assert res.hit and res.path == [3]
 
@@ -122,7 +123,7 @@ def test_route_up_virtual_root_overrides_depth():
     for k in (9, 0):   # push 4 deeper without evicting it from the LRU set
         t.adjust(k)
     assert 4 in t.vr
-    assert t.depth(4) >= 2
+    assert depth(t, 4) >= 2
     res = t.route_up(4)
     assert res.path == [OWNER]
 
@@ -140,7 +141,7 @@ def test_adjust_zig_zig_spine():
     t = EgoTree(OWNER)
     for k in (3, 2, 1):
         t.insert(k, splay=False)     # left spine rooted at 3
-    assert t.depth(1) == 2
+    assert depth(t, 1) == 2
     assert t.adjust(1) == 2
     assert t.root.key == 1
 
@@ -166,7 +167,7 @@ def test_sequential_access_rotation_budget():
         t.insert(k, splay=False)
     total = 0
     for k in range(1, n + 1):
-        total += t.depth(k)  # the rotations of the splay
+        total += depth(t, k)  # the rotations of the splay
         t.adjust(k)
     assert total <= 4 * n
 
@@ -174,7 +175,7 @@ def test_sequential_access_rotation_budget():
 def test_adjust_rotations_equal_prior_depth():
     t = make_tree([8, 4, 12, 2, 6, 10, 14, 1], splay=False)
     for k in (6, 14, 1, 8):
-        d = t.depth(k)
+        d = depth(t, k)
         assert t.adjust(k) == d  # one link change per rotation
         assert t.root.key == k
 
@@ -402,7 +403,7 @@ def test_edge_log_matches_structure(op_list, vr_cap):
         if op == "insert" and key not in t:
             floor, cost = 1, t.insert(key)
         elif op == "adjust" and key in t:
-            floor = t.depth(key)
+            floor = depth(t, key)
             cost = t.adjust(key)
         elif op == "replace" and key in t:
             floor, cost = 0, t.replace_occupant(key, 1000 + key)
@@ -457,5 +458,5 @@ def test_inorder_always_sorted(keys):
     t = EgoTree(OWNER)
     for k in keys:
         t.insert(k)
-        assert t.keys_inorder() == sorted(t.keys_inorder())
+        assert keys_inorder(t) == sorted(keys_inorder(t))
         assert t.root.key == k  # splay insertion leaves the new key on top

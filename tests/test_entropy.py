@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import entropy_oracle as oracle
+from helpers import kernel, kernel_h, trace_of
 from renet.entropy import (
     X_GIVEN_Y,
     Y_GIVEN_X,
     _neg_plogp,
-    averaged_entropy_bounds,
     conditional_entropy,
     demand_entropy,
-    entropy,
-    joint_entropy,
-    marginals,
     normalized,
-    symmetrize,
     windowed_entropy_report,
 )
 from renet.trace import RoundRobinGrids, Torus, Trace, generate
@@ -40,47 +37,48 @@ def torus_edge_joint(side):
 
 
 def test_entropy_uniform_four():
-    assert entropy({k: 0.25 for k in range(4)}, 2.0) == pytest.approx(2.0)
+    assert kernel_h({k: 0.25 for k in range(4)}, 2.0) == pytest.approx(2.0)
 
 
 def test_entropy_dyadic():
-    assert entropy({"a": 0.5, "b": 0.25, "c": 0.25}, 2.0) == pytest.approx(1.5)
+    assert kernel_h({0: 0.5, 1: 0.25, 2: 0.25}, 2.0) == pytest.approx(1.5)
 
 
 def test_entropy_point_mass():
-    assert entropy({"x": 1.0}) == 0.0
+    assert kernel({(1, 2): 1.0}) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_entropy_rejects_bad_base():
-    with pytest.raises(ValueError):
-        entropy({"x": 1.0}, base=1.0)
+    with pytest.raises(ValueError, match="entropy base must be > 1"):
+        windowed_entropy_report(trace_of(4, [(1, 2)]), window=1, stride=1, base=1.0)
+    with pytest.raises(ValueError, match="entropy base must be > 1"):
+        conditional_entropy({(1, 2): 1.0}, Y_GIVEN_X, base=1.0)
 
 
 def test_entropy_rejects_bad_dist():
     with pytest.raises(ValueError):
-        entropy({"x": 0.7})
+        conditional_entropy({(1, 2): 0.7}, Y_GIVEN_X)
     with pytest.raises(ValueError):
-        entropy({"x": 1.2, "y": -0.2})
+        conditional_entropy({(1, 2): 1.2, (2, 1): -0.2}, Y_GIVEN_X)
 
 
-# -- marginals ---------------------------------------------------------------
+# -- marginals: the kernel's H(X) and H(Y) are those of the row and column sums
 
 
 def test_marginals_symmetric_pair():
-    xs, ys = marginals({(1, 2): 0.5, (2, 1): 0.5})
-    assert xs == {1: 0.5, 2: 0.5}
-    assert ys == {2: 0.5, 1: 0.5}
+    hx, hy, _, _ = kernel({(1, 2): 0.5, (2, 1): 0.5})
+    assert hx == pytest.approx(1.0) and hy == pytest.approx(1.0)
 
 
 def test_marginals_point():
-    xs, ys = marginals({(1, 2): 1.0})
-    assert xs == {1: 1.0} and ys == {2: 1.0}
+    hx, hy, _, _ = kernel({(1, 2): 1.0})
+    assert hx == 0.0 and hy == 0.0
 
 
 def test_marginals_one_row():
-    xs, ys = marginals({(1, 2): 0.5, (1, 3): 0.5})
-    assert xs == {1: pytest.approx(1.0)}
-    assert ys == {2: 0.5, 3: 0.5}
+    hx, hy, _, _ = kernel({(1, 2): 0.5, (1, 3): 0.5})
+    assert hx == 0.0  # one row, whose sum is 1
+    assert hy == pytest.approx(1.0)
 
 
 # -- conditional and joint ----------------------------------------------------
@@ -104,14 +102,18 @@ def test_conditional_hand_case():
     for x in (1, 2):
         row = {y: f for (xx, y), f in joint.items() if xx == x}
         fx = sum(row.values())
-        by_hand += fx * entropy({y: f / fx for y, f in row.items()})
+        by_hand += fx * oracle.entropy({y: f / fx for y, f in row.items()})
     assert by_hand == pytest.approx(0.5)
     assert conditional_entropy(joint, Y_GIVEN_X) == pytest.approx(0.5)
+    assert kernel(joint)[2] == pytest.approx(0.5)
 
 
 def test_joint_entropy_values():
-    assert joint_entropy({(1, 2): 0.5, (2, 1): 0.5}) == pytest.approx(1.0)
-    assert joint_entropy({(1, 2): 1.0}) == 0.0
+    # the kernel's joint entropy, by the chain rule H(X) + H(Y|X)
+    hx, _, hygx, _ = kernel({(1, 2): 0.5, (2, 1): 0.5})
+    assert hx + hygx == pytest.approx(1.0)
+    hx, _, hygx, _ = kernel({(1, 2): 1.0})
+    assert hx + hygx == 0.0
 
 
 # -- property tests over random sparse joints ---------------------------------
@@ -136,65 +138,55 @@ def joints(draw):
 @given(joints())
 @settings(max_examples=200, deadline=None)
 def test_chain_rule(joint):
-    xs, ys = marginals(joint)
-    h_joint = joint_entropy(joint)
-    assert h_joint == pytest.approx(entropy(xs) + conditional_entropy(joint, Y_GIVEN_X), abs=1e-6)
-    assert h_joint == pytest.approx(entropy(ys) + conditional_entropy(joint, X_GIVEN_Y), abs=1e-6)
+    hx, hy, hygx, hxgy = kernel(joint)
+    h_joint = oracle.entropy(joint)
+    assert h_joint == pytest.approx(hx + hygx, abs=1e-6)
+    assert h_joint == pytest.approx(hy + hxgy, abs=1e-6)
 
 
 @given(joints())
 @settings(max_examples=200, deadline=None)
 def test_conditioning_reduces_entropy(joint):
-    xs, ys = marginals(joint)
-    assert conditional_entropy(joint, X_GIVEN_Y) <= entropy(xs) + 1e-6
-    assert conditional_entropy(joint, Y_GIVEN_X) <= entropy(ys) + 1e-6
+    hx, hy, hygx, hxgy = kernel(joint)
+    assert hxgy <= hx + 1e-6
+    assert hygx <= hy + 1e-6
 
 
 @given(joints(), st.floats(1.5, 64.0))
 @settings(max_examples=100, deadline=None)
 def test_base_change(joint, base):
-    h2 = joint_entropy(joint, 2.0)
-    hb = joint_entropy(joint, base)
-    assert hb == pytest.approx(h2 / math.log2(base), abs=1e-9)
+    for h2, hb in zip(kernel(joint, 2.0), kernel(joint, base)):
+        assert hb == pytest.approx(h2 / math.log2(base), abs=1e-9)
 
 
 @given(joints())
 @settings(max_examples=200, deadline=None)
 def test_entropy_bounded_by_log_support(joint):
-    h = joint_entropy(joint)
-    assert -1e-12 <= h <= math.log2(len(joint)) + 1e-9
+    hx, hy, hygx, hxgy = kernel(joint)
+    assert min(hx, hy, hygx, hxgy) >= -1e-12
+    assert hx <= math.log2(len({x for x, _ in joint})) + 1e-9
+    assert hy <= math.log2(len({y for _, y in joint})) + 1e-9
+    assert hx + hygx <= math.log2(len(joint)) + 1e-9  # the joint entropy
 
 
 # -- symmetrization ------------------------------------------------------------
 
 
-def test_symmetrize_point_mass():
-    assert symmetrize({(1, 2): 1.0}) == {(1, 2): 0.5, (2, 1): 0.5}
-
-
-def test_symmetrize_fixpoint():
-    joint = {(1, 2): 0.3, (2, 1): 0.3, (1, 3): 0.2, (3, 1): 0.2}
-    out = symmetrize(joint)
-    for k, v in joint.items():
-        assert out[k] == pytest.approx(v)
-
-
 @given(joints())
 @settings(max_examples=200, deadline=None)
 def test_symmetrize_properties(joint):
-    out = symmetrize(joint)
+    out = oracle.symmetrize(joint)
     # symmetric entries and equal conditional entropies
     for (x, y), f in out.items():
         assert out[(y, x)] == pytest.approx(f, abs=1e-12)
-    hyx = conditional_entropy(out, Y_GIVEN_X)
-    hxy = conditional_entropy(out, X_GIVEN_Y)
+    _, _, hyx, hxy = kernel(out)
     assert hyx == pytest.approx(hxy, abs=1e-9)
     # bounded by the worse source direction plus one bit
-    worst = max(conditional_entropy(joint, Y_GIVEN_X), conditional_entropy(joint, X_GIVEN_Y))
+    worst = max(kernel(joint)[2:])
     assert hyx <= worst + 1.0 + 1e-9
     # marginals of the output are the averaged input marginals
-    xs_in, ys_in = marginals(joint)
-    xs_out, ys_out = marginals(out)
+    xs_in, ys_in = oracle.marginals(joint)
+    xs_out, ys_out = oracle.marginals(out)
     keys = set(xs_in) | set(ys_in)
     for k in keys:
         want = 0.5 * xs_in.get(k, 0.0) + 0.5 * ys_in.get(k, 0.0)
@@ -203,21 +195,30 @@ def test_symmetrize_properties(joint):
 
 
 # -- averaged-distribution sandwich ---------------------------------------------
+#
+# lower = (H(p) + H(q)) / 2, mid = H((p + q) / 2) and
+# upper_slack = max(H(p), H(q)) + 1 - mid >= 0, every entropy from the kernel.
+
+
+def averaged_bounds(p, q):
+    hp, hq = kernel_h(p), kernel_h(q)
+    mid = kernel_h(oracle.averaged(p, q))
+    return max(hp, hq), 0.5 * hp + 0.5 * hq, mid, max(hp, hq) + 1.0 - mid
 
 
 def test_averaged_bounds_disjoint_points():
-    res = averaged_entropy_bounds({"a": 1.0}, {"b": 1.0})
-    assert res.lower == 0.0
-    assert res.mid == pytest.approx(1.0)
-    assert res.upper_slack == pytest.approx(0.0)  # tight at H* + 1
+    _, lower, mid, upper_slack = averaged_bounds({0: 1.0}, {1: 1.0})
+    assert lower == 0.0
+    assert mid == pytest.approx(1.0)
+    assert upper_slack == pytest.approx(0.0)  # tight at H* + 1
 
 
 def test_averaged_bounds_equal_dists():
-    p = {"a": 0.5, "b": 0.25, "c": 0.25}
-    res = averaged_entropy_bounds(p, dict(p))
-    assert res.lower == pytest.approx(entropy(p))
-    assert res.mid == pytest.approx(entropy(p))
-    assert res.upper_slack == pytest.approx(1.0)
+    p = {0: 0.5, 1: 0.25, 2: 0.25}
+    _, lower, mid, upper_slack = averaged_bounds(p, dict(p))
+    assert lower == pytest.approx(oracle.entropy(p))
+    assert mid == pytest.approx(oracle.entropy(p))
+    assert upper_slack == pytest.approx(1.0)
 
 
 @st.composite
@@ -234,19 +235,18 @@ def dists(draw):
 @given(dists(), dists())
 @settings(max_examples=300, deadline=None)
 def test_averaged_bounds_hold(p, q):
-    res = averaged_entropy_bounds(p, q)
-    h_star = max(entropy(p), entropy(q))
-    assert 0.5 * h_star <= res.lower + 1e-9
-    assert res.lower <= res.mid + 1e-9
-    assert res.mid <= h_star + 1.0 + 1e-9
-    assert res.upper_slack >= -1e-9
+    h_star, lower, mid, upper_slack = averaged_bounds(p, q)
+    assert 0.5 * h_star <= lower + 1e-9
+    assert lower <= mid + 1e-9
+    assert mid <= h_star + 1.0 + 1e-9
+    assert upper_slack >= -1e-9
 
 
 # -- windowed report --------------------------------------------------------------
 
 
 def test_windowed_report_constant_trace():
-    tr = Trace.from_pairs(4, [(1, 2)] * 50)
+    tr = trace_of(4, [(1, 2)] * 50)
     rows = windowed_entropy_report(tr, window=10, stride=10)
     assert len(rows) == 5
     for r in rows:
@@ -273,7 +273,7 @@ def test_windowed_report_round_robin_divergence():
 
 
 def test_windowed_report_rejects_bad_args():
-    tr = Trace.from_pairs(4, [(1, 2)] * 10)
+    tr = trace_of(4, [(1, 2)] * 10)
     with pytest.raises(ValueError):
         windowed_entropy_report(tr, window=0, stride=1)
     with pytest.raises(ValueError):
@@ -284,81 +284,7 @@ def test_windowed_report_rejects_bad_args():
         windowed_entropy_report(tr, window=5, stride=11)
 
 
-# -- exact equality with the dict-loop definition ------------------------------
-#
-# A frozen copy of the dict loops the count-array kernel replaced.  Every sum
-# is an explicit left-to-right loop in sorted key order, so the oracle does
-# not depend on how a Python version implements `sum` over floats.
-
-
-def _loop_normalized(counts):
-    total = 0
-    for k in counts:
-        total += counts[k]
-    total = float(total)
-    return {k: counts[k] / total for k in sorted(counts) if counts[k] > 0}
-
-
-def _loop_entropy(dist, base):
-    h = 0.0
-    for k in sorted(dist):
-        p = dist[k]
-        if p > 0.0:
-            h -= p * math.log(p)
-    return max(0.0, h / math.log(base))
-
-
-def _loop_marginals(joint):
-    xs, ys = {}, {}
-    for (x, y) in sorted(joint):
-        f = joint[(x, y)]
-        if f <= 0.0:
-            continue
-        xs[x] = xs.get(x, 0.0) + f
-        ys[y] = ys.get(y, 0.0) + f
-    return xs, ys
-
-
-def _loop_conditional(joint, direction, base):
-    rows = {}
-    for (x, y) in joint:
-        f = joint[(x, y)]
-        if f <= 0.0:
-            continue
-        k, sub = (x, y) if direction == Y_GIVEN_X else (y, x)
-        rows.setdefault(k, {})[sub] = rows.get(k, {}).get(sub, 0.0) + f
-    h = 0.0
-    for k in sorted(rows):
-        row = rows[k]
-        fk = 0
-        for s in sorted(row):
-            fk += row[s]
-        row_h = 0.0
-        for s in sorted(row):
-            p = row[s] / fk
-            if p > 0.0:
-                row_h -= p * math.log(p)
-        h += fk * row_h
-    return max(0.0, h / math.log(base))
-
-
-def _loop_all(counts, base):
-    joint = _loop_normalized(counts)
-    xs, ys = _loop_marginals(joint)
-    return (
-        _loop_entropy(xs, base),
-        _loop_entropy(ys, base),
-        _loop_conditional(joint, Y_GIVEN_X, base),
-        _loop_conditional(joint, X_GIVEN_Y, base),
-    )
-
-
-def _loop_report(trace, window, stride, base):
-    pairs = list(zip(trace.src.tolist(), trace.dst.tolist()))
-    return [
-        (t, *_loop_all(Counter(pairs[max(0, t - window):t]), base), *_loop_all(Counter(pairs[:t]), base))
-        for t in range(stride, len(pairs) + 1, stride)
-    ]
+# -- exact equality with the dict-loop definition (tests/entropy_oracle.py) ------
 
 
 @st.composite
@@ -387,24 +313,20 @@ def test_report_and_demand_entropy_equal_the_dict_loops(trace, data, base):
     window = data.draw(st.integers(1, m), label="window")
     stride = data.draw(st.integers(max(1, m // 40), m), label="stride")
     rows = [dataclasses.astuple(r) for r in windowed_entropy_report(trace, window, stride, base)]
-    assert rows == _loop_report(trace, window, stride, base)
+    assert rows == oracle.report(trace, window, stride, base)
 
     start = data.draw(st.integers(0, m - 1), label="start")
     stop = data.draw(st.integers(start + 1, m), label="stop")
     counts = Counter(zip(trace.src[start:stop].tolist(), trace.dst[start:stop].tolist()))
-    _, _, hygx, hxgy = _loop_all(counts, base)
+    _, _, hygx, hxgy = oracle.all_entropies(counts, base)
     assert demand_entropy(trace, base, start, stop) == max(hygx, hxgy)
 
 
 @given(joints(), st.sampled_from([2.0, 3.0, 6.0]))
 @settings(max_examples=200, deadline=None)
 def test_dict_api_equals_the_dict_loops(joint, base):
-    xs, ys = marginals(joint)
-    assert (xs, ys) == _loop_marginals(joint)
-    assert entropy(xs, base) == _loop_entropy(xs, base)
-    assert joint_entropy(joint, base) == _loop_entropy(joint, base)
     for direction in (Y_GIVEN_X, X_GIVEN_Y):
-        assert conditional_entropy(joint, direction, base) == _loop_conditional(joint, direction, base)
+        assert conditional_entropy(joint, direction, base) == oracle.conditional(joint, direction, base)
 
 
 # -- the -p log p kernel under heavy ties --------------------------------------

@@ -6,6 +6,7 @@ from dataclasses import asdict
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from helpers import depth, keys_inorder, ledger_of
 from renet.ego_tree import EgoTree
 from renet.metrics import CostLedger, average_cost
 from renet.network import HelperExhaustion, InvariantError, NetParams, Network, replay_trace
@@ -117,8 +118,8 @@ def test_large_source_pays_tree_depth():
     # virtual roots off so the walk always starts at the tree root
     net = fresh(16, 0.5, virtual_root_capacity=0)
     tree = grow_large(net, 0, (3, 4, 5))
-    target = max((tree.depth(k), k) for k in tree.keys_inorder())[1]
-    d = tree.depth(target)
+    target = max((depth(tree, k), k) for k in keys_inorder(tree))[1]
+    d = depth(tree, target)
     assert d >= 1
     hops, adjust, _, _ = net.serve_request(0, target)
     assert hops == d + 1
@@ -157,7 +158,7 @@ def test_add_route_triggers_make_large_at_threshold():
     assert not net.nodes[0].large
     net.serve_request(0, 5)  # |W(0)| = 3 = theta + 1
     assert net.nodes[0].large
-    assert set(net.nodes[0].tree.keys_inorder()) == {3, 4, 5}
+    assert set(keys_inorder(net.nodes[0].tree)) == {3, 4, 5}
     for v in (3, 4, 5):
         assert 0 in net.nodes[v].trees_in
         assert v not in net.nodes[0].S
@@ -305,7 +306,7 @@ def test_make_large_moves_direct_links_into_tree():
     assert net.serve_request(0, 7) == (1, 14, 28, 0)
     s0 = net.nodes[0]
     assert s0.large and not s0.S
-    assert set(s0.tree.keys_inorder()) == {3, 4, 5, 6, 7}
+    assert set(keys_inorder(s0.tree)) == {3, 4, 5, 6, 7}
     for v in (3, 4, 5, 6, 7):
         assert 0 not in net.nodes[v].S  # direct link gone on the partner's side
         assert 0 in net.nodes[v].trees_in
@@ -413,7 +414,7 @@ def test_degree_overflow_with_no_virtual_root_to_shed_raises():
     net = fresh(16, 0.5, virtual_root_capacity=0)
     tree = grow_large(net, 0, (3, 4, 5))
     # a leaf gains a link in its splay, since its inner child is missing
-    leaf = next(k for k in tree.keys_inorder() if tree._by_key[k].left is None and tree._by_key[k].right is None)
+    leaf = next(k for k in keys_inorder(tree) if tree._by_key[k].left is None and tree._by_key[k].right is None)
     occupant = tree.occupant_of(leaf)
     net.degree[occupant] = net.params.delta_cap
     with pytest.raises(InvariantError, match=rf"^degree overflow at node {occupant} with no virtual root to shed$"):
@@ -437,7 +438,7 @@ def test_debug_sweep_catches_degree_overflow_on_tree_occupant():
     net = fresh(16, 0.5, virtual_root_capacity=0)
     tree = grow_large(net, 0, (3, 4, 5))
     root = tree.root.key
-    target = next(k for k in tree.keys_inorder() if k != root)
+    target = next(k for k in keys_inorder(tree) if k != root)
     # the splay only lowers the old root's degree, so no tree operation
     # reports it; the sweep must still look at every node whose degree moved
     net.degree[root] += net.params.delta_cap
@@ -462,7 +463,7 @@ def test_node_rule_degree_over_cap():
     net = fresh(32, 0.5, virtual_root_capacity=0)  # degree cap 12
     tree = grow_large(net, 0, (3, 4, 5))
     root = tree.root.key
-    target = next(k for k in tree.keys_inorder() if k != root)
+    target = next(k for k in keys_inorder(tree) if k != root)
     # thirteen more direct links at the root's occupant, both ends recorded;
     # the splay lowers its degree, so the sweep looks at it
     for w in range(10, 23):
@@ -679,7 +680,7 @@ def test_debug_sweep_names_each_fault(fault):
     x = CORRUPTED_NODE[fault](net)
     s = net.nodes[x]
     # a splay of x's tree, or a route addition at x
-    u, v = (x, min(s.tree.keys_inorder())) if s.large else (x, newcomer(net, x))
+    u, v = (x, min(keys_inorder(s.tree))) if s.large else (x, newcomer(net, x))
     pattern = VALIDATION_FAULTS[fault](net)
     net.debug_checks = True
     with pytest.raises(InvariantError, match=pattern):
@@ -738,11 +739,12 @@ def test_debug_sweep_scans_every_degree_for_a_negative_one():
 # -- hop validation, by fault injection ----------------------------------------------
 
 
-def drop_second_entry(route):
-    # the walk skips one level: its second entry goes missing
+def drop_entry(route, i):
+    # the walk skips one level: its i-th entry goes missing
     assert len(route.entries) >= 3
     faulty = copy.copy(route)
-    faulty.entries = route.entries[:1] + route.entries[2:]
+    faulty.entries = list(route.entries)
+    del faulty.entries[i]
     return faulty
 
 
@@ -760,9 +762,9 @@ def assert_hop_fault_caught(net, u, v, debug, message):
 def test_hop_check_catches_route_down_skipping_a_level(monkeypatch, debug):
     net = fresh(32, 0.5, virtual_root_capacity=0)
     tree = grow_large(net, 0, (3, 4, 5, 6, 7, 8))
-    assert tree.depth(3) >= 2
+    assert depth(tree, 3) >= 2
     route_down = EgoTree.route_down
-    monkeypatch.setattr(EgoTree, "route_down", lambda self, key: drop_second_entry(route_down(self, key)))
+    monkeypatch.setattr(EgoTree, "route_down", lambda self, key: drop_entry(route_down(self, key), 1))
     assert_hop_fault_caught(net, 0, 3, debug, r"^hop \d+-\d+ crosses no link of tree\(0\)$")
 
 
@@ -770,9 +772,9 @@ def test_hop_check_catches_route_down_skipping_a_level(monkeypatch, debug):
 def test_hop_check_catches_route_up_skipping_a_level(monkeypatch, debug):
     net = fresh(32, 0.5, virtual_root_capacity=0)
     tree = grow_large(net, 0, (3, 4, 5, 6, 7, 8))
-    assert tree.depth(3) >= 2
+    assert depth(tree, 3) >= 2
     route_up = EgoTree.route_up
-    monkeypatch.setattr(EgoTree, "route_up", lambda self, key: drop_second_entry(route_up(self, key)))
+    monkeypatch.setattr(EgoTree, "route_up", lambda self, key: drop_entry(route_up(self, key), 1))
     assert_hop_fault_caught(net, 3, 0, debug, r"^hop \d+-\d+ crosses no link of tree\(0\)$")
 
 
@@ -809,6 +811,37 @@ def test_hop_check_catches_a_walk_up_from_a_seat_held_by_another_node(debug):
     tree = grow_large(net, 0, (3, 4, 5))
     tree.replace_occupant(3, 9)  # 3 is still listed in tree(0), but 9 sits at its key
     assert_hop_fault_caught(net, 3, 0, debug, r"^node 3 does not sit at key 3 of tree\(0\)$")
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_hop_check_catches_route_down_starting_below_the_root(monkeypatch, debug):
+    net = fresh(32, 0.5, virtual_root_capacity=0)
+    tree = grow_large(net, 0, (3, 4, 5, 6, 7, 8))
+    assert depth(tree, 3) >= 2
+    route_down = EgoTree.route_down
+    monkeypatch.setattr(EgoTree, "route_down", lambda self, key: drop_entry(route_down(self, key), 0))
+    assert_hop_fault_caught(net, 0, 3, debug, r"^hop 0-\d+ crosses no link of tree\(0\)$")
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_hop_check_catches_route_up_stopping_below_the_root(monkeypatch, debug):
+    net = fresh(32, 0.5, virtual_root_capacity=0)
+    tree = grow_large(net, 0, (3, 4, 5, 6, 7, 8))
+    assert depth(tree, 3) >= 2
+    route_up = EgoTree.route_up
+    monkeypatch.setattr(EgoTree, "route_up", lambda self, key: drop_entry(route_up(self, key), -1))
+    assert_hop_fault_caught(net, 3, 0, debug, r"^hop \d+-0 crosses no link of tree\(0\)$")
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_hop_check_catches_a_new_leaf_splayed_away_from_the_anchor(monkeypatch, debug):
+    net = fresh(32, 0.5, virtual_root_capacity=0)
+    tree = grow_large(net, 0, (3, 4, 5))
+    assert 6 not in tree
+    insert = EgoTree.insert
+    # the leaf for 6 is attached mid-walk and must stay under the anchor until delivery
+    monkeypatch.setattr(EgoTree, "insert", lambda self, key, occupant=None, splay=True: insert(self, key, occupant))
+    assert_hop_fault_caught(net, 0, 6, debug, r"^hop \d+-6 crosses no link of tree\(0\)$")
 
 
 @pytest.mark.parametrize("debug", [False, True])
@@ -1043,10 +1076,7 @@ def spec_for(workload, side, m):
 
 
 def served_one_by_one(net, tr):
-    ledger = CostLedger()
-    for u, v in zip(tr.src.tolist(), tr.dst.tolist()):
-        ledger.append(*net.serve_request(u, v))
-    return ledger
+    return ledger_of([net.serve_request(u, v) for u, v in zip(tr.src.tolist(), tr.dst.tolist())])
 
 
 @pytest.mark.parametrize("workload", ["torus", "rrg", "star", "product", "uniform"])

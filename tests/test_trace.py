@@ -8,7 +8,9 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 from renet.baselines import build_static_dan
 from renet.cli import ExperimentConfig, build_trace, make_params
-from renet.entropy import demand_entropy, entropy, normalized, windowed_entropy_report
+import entropy_oracle as oracle
+from helpers import trace_csv, trace_of
+from renet.entropy import demand_entropy, normalized, windowed_entropy_report
 from renet.trace import (
     ProductDist,
     RoundRobinGrids,
@@ -21,7 +23,6 @@ from renet.trace import (
     generate,
     read_trace_csv,
     sparsity_check,
-    write_trace_csv,
     zipf_weights,
 )
 
@@ -46,16 +47,16 @@ def torus_directed_edges(side):
 
 def test_trace_rejects_self_requests():
     with pytest.raises(ValueError):
-        Trace.from_pairs(4, [(1, 1)])
+        trace_of(4, [(1, 1)])
 
 
 def test_trace_rejects_out_of_universe():
     with pytest.raises(ValueError):
-        Trace.from_pairs(4, [(1, 4)])
+        trace_of(4, [(1, 4)])
 
 
 def test_pair_counts():
-    tr = Trace.from_pairs(4, [(1, 2), (1, 2), (2, 3)])
+    tr = trace_of(4, [(1, 2), (1, 2), (2, 3)])
     assert tr.pair_counts() == {(1, 2): 2, (2, 3): 1}
     assert tr.pair_counts(2, 3) == {(2, 3): 1}
 
@@ -70,7 +71,7 @@ def traces_with_ranges(draw):
     return trace, draw(st.lists(bounds, max_size=8))
 
 
-ALL_PAIRS_20 = Trace.from_pairs(20, [(a, b) for a in range(20) for b in range(20) if a != b] * 2)
+ALL_PAIRS_20 = trace_of(20, [(a, b) for a in range(20) for b in range(20) if a != b] * 2)
 
 
 @seed(20191)
@@ -240,20 +241,20 @@ def loop_sparsity(trace, params):
 
 def test_sparsity_cycle_passes():
     pairs = [(1, 2), (2, 3), (3, 0), (0, 1)] * 10
-    rep = sparsity_check(Trace.from_pairs(4, pairs), SparsityParams(c=1, delta=8))
+    rep = sparsity_check(trace_of(4, pairs), SparsityParams(c=1, delta=8))
     assert rep.ok and rep.worst_unique_pairs == 4
 
 
 def test_sparsity_dense_window_fails():
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
-    rep = sparsity_check(Trace.from_pairs(4, pairs), SparsityParams(c=1, delta=5))
+    rep = sparsity_check(trace_of(4, pairs), SparsityParams(c=1, delta=5))
     assert not rep.ok
     assert rep.worst_unique_pairs == 5
     assert rep.worst_window_start == 0
 
 
 def test_sparsity_empty_trace_vacuous():
-    rep = sparsity_check(Trace.from_pairs(4, []), SparsityParams(c=1, delta=5))
+    rep = sparsity_check(trace_of(4, []), SparsityParams(c=1, delta=5))
     assert rep.ok and rep.worst_unique_pairs == 0
 
 
@@ -268,7 +269,7 @@ def test_sparsity_empty_trace_vacuous():
 )
 @settings(max_examples=150, deadline=None)
 def test_sparsity_monotonicity(pairs, c, delta):
-    tr = Trace.from_pairs(6, pairs)
+    tr = trace_of(6, pairs)
     base = sparsity_check(tr, SparsityParams(c, delta))
     if base.ok:
         assert sparsity_check(tr, SparsityParams(c + 1.0, delta)).ok
@@ -286,7 +287,7 @@ def test_sparsity_monotonicity(pairs, c, delta):
 @settings(max_examples=300, deadline=None)
 def test_sparsity_matches_loop_oracle(pairs, c, data):
     delta = data.draw(st.integers(1, len(pairs) + 3))
-    tr = Trace.from_pairs(6, pairs)
+    tr = trace_of(6, pairs)
     params = SparsityParams(c, delta)
     rep = sparsity_check(tr, params)
     assert rep == loop_sparsity(tr, params)
@@ -317,7 +318,7 @@ def test_sparsity_matches_loop_oracle_on_generated_traces(spec):
 )
 @settings(max_examples=150, deadline=None)
 def test_demand_graph_weights_sum_to_one(pairs):
-    joint = normalized(Trace.from_pairs(8, pairs).pair_counts())
+    joint = normalized(trace_of(8, pairs).pair_counts())
     assert sum(joint.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -348,7 +349,7 @@ def test_star_alpha_zero_leaf_entropy():
     counts = {}
     for leaf in leaves:
         counts[leaf] = counts.get(leaf, 0) + 1
-    h = entropy(normalized(counts))
+    h = oracle.entropy(oracle.normalized(counts))
     assert h == pytest.approx(math.log2(7), abs=0.03)
 
 
@@ -401,12 +402,16 @@ def test_generation_reproducible():
 
 def test_trace_csv_roundtrip():
     tr = generate(Torus(16, 100), seed=1)
-    buf = io.StringIO()
-    write_trace_csv(tr, buf)
-    buf.seek(0)
-    back = read_trace_csv(buf)
+    back = read_trace_csv(io.StringIO(trace_csv(tr)))
     assert back.n == tr.n
     assert requests(back) == requests(tr)
+
+
+def test_trace_csv_skips_blank_lines_and_keeps_line_numbers():
+    back = read_trace_csv(io.StringIO("#n=4\n0,1\n\n  \n2,3\n"))
+    assert back.n == 4 and requests(back) == [(0, 1), (2, 3)]
+    with pytest.raises(ValueError, match=r"^line 4: expected 'src,dst', got '1'$"):
+        read_trace_csv(io.StringIO("#n=4\n0,1\n\n1\n"))
 
 
 def test_trace_csv_rejects_missing_header():
